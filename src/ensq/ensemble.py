@@ -13,6 +13,7 @@ measure is provably monotone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,9 +56,17 @@ WEIGHT_TOL = 1e-10
 MIX_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
+# The pair kernel works through pairs in blocks of at most this many bytes
+# of d x d commutators, so its memory does not grow with the pair count.
+BLOCK_BYTES = 1 << 24
+# The low-rank route needs 4 (r_i + r_j) <= d.  Below d = 8 that admits
+# only pairs with a rank-0 member, so smaller ensembles skip the member
+# eigendecompositions and every pair takes the dense route.
+LOW_RANK_MIN_DIM = 8
+
 
 def check_weights(weights, what: str) -> None:
-    """Each row of ``weights`` must be nonnegative and sum to one within 1e-10.
+    """Each row of ``weights`` must be finite, nonnegative and sum to one within 1e-10.
 
     The sum is exact (``math.fsum``); ``what`` prefixes error messages.
     """
@@ -65,6 +74,9 @@ def check_weights(weights, what: str) -> None:
     if w.shape[-1] == 0:
         raise ParamOutOfRange(f"{what}: need at least one weight")
     w = w.reshape(-1, w.shape[-1])
+    odd = w[~np.isfinite(w)]
+    if odd.size:
+        raise ParamOutOfRange(f"{what}: non-finite weight {float(odd[0])!r}")
     neg = w[w < 0.0]
     if neg.size:
         raise ParamOutOfRange(f"{what}: negative weight {float(neg[0])!r}")
@@ -152,48 +164,130 @@ def _commutator_singular_values(c: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(w), axis=-1)[..., ::-1]
 
 
-def _pair_singular_values(stack: np.ndarray, pairs) -> np.ndarray:
-    """Singular values of [rho_i, rho_j] for each index pair of one stack."""
-    a = stack[[i for i, _ in pairs]]
-    b = stack[[j for _, j in pairs]]
-    return _commutator_singular_values(a @ b - b @ a)
+def _low_rank_factors(states: np.ndarray, live: np.ndarray):
+    """Eigenpairs of each live member for the low-rank route; None when d < 8.
+
+    Each member is shifted by mu, its most repeated eigenvalue, where
+    eigenvalues within d * eps * max|lambda| of each other (numpy's
+    ``matrix_rank`` tolerance) count as equal.  Its rank r is the number
+    of eigenvalues outside that cluster.  Returns the ranks ``(N,)`` and,
+    outside-cluster pairs first, the shifted eigenvalues ``(N, d//4)`` and
+    eigenvectors ``(N, d, d//4)``; only a member's first r columns are
+    used, and members where ``live`` is False are left at zero.
+    """
+    n, d = states.shape[0], states.shape[-1]
+    if d < LOW_RANK_MIN_DIM:
+        return None
+    try:
+        w, v = np.linalg.eigh(states[live])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    tol = (d * np.finfo(float).eps) * np.abs(w).max(axis=-1, keepdims=True)
+    near = np.abs(w[:, :, None] - w[:, None, :]) <= tol[:, :, None]
+    mu = np.take_along_axis(w, near.sum(axis=-1).argmax(axis=-1)[:, None], axis=-1)
+    outside = np.abs(w - mu) > tol
+    order = np.argsort(~outside, axis=-1, kind="stable")[:, : d // 4]
+    ranks = np.zeros(n, dtype=int)
+    shifted = np.zeros((n, d // 4))
+    vecs = np.zeros((n, d, d // 4), dtype=complex)
+    ranks[live] = outside.sum(axis=-1)
+    shifted[live] = np.take_along_axis(w - mu, order, axis=-1)
+    vecs[live] = np.take_along_axis(v, order[:, None, :], axis=-1)
+    return ranks, shifted, vecs
 
 
-def _live_commutators(probs: np.ndarray, states: np.ndarray):
-    """Commutators of every pair i < j of positive-probability members.
+def _low_rank_singular_values(lam_a, vec_a, lam_b, vec_b) -> np.ndarray:
+    """Nonincreasing singular values ``(n, k)`` of [A, B], A = V_a L_a V_a^+.
+
+    With the thin QR [V_a V_b] = Q R, both operators are Q (R L R^+) Q^+,
+    so the commutator's nonzero singular values are those of a k x k one,
+    k = r_a + r_b.  R comes from Householder QR of the eigenvectors, not
+    from their overlaps, so near-parallel pairs keep full accuracy.
+    """
+    r_a = lam_a.shape[-1]
+    r = np.linalg.qr(np.concatenate([vec_a, vec_b], axis=-1), mode="r")
+    x = (r[..., :r_a] * lam_a[:, None, :]) @ _adjoint(r[..., :r_a])
+    y = (r[..., r_a:] * lam_b[:, None, :]) @ _adjoint(r[..., r_a:])
+    return _commutator_singular_values(x @ y - y @ x)
+
+
+def _pair_singular_values(states: np.ndarray, i, j, factors) -> np.ndarray:
+    """Singular values ``(n, d)``, nonincreasing, of [states[i], states[j]].
+
+    ``i`` and ``j`` index the stack ``states`` ``(N, d, d)``, and
+    ``factors`` is ``_low_rank_factors`` of it.  A pair of ranks r_i, r_j
+    takes the low-rank route when 4 (r_i + r_j) <= d, and is zero when
+    either rank is 0 (a multiple of the identity commutes with everything).
+    Every other pair takes the dense route: the full d x d commutator and
+    its eigenvalues.  Pairs are grouped by (r_i, r_j) and never padded to
+    another pair's rank, so no pair's values depend on the pairs computed
+    with it.
+    """
+    if factors is None:
+        a, b = states[i], states[j]
+        return _commutator_singular_values(a @ b - b @ a)
+    ranks, lam, vecs = factors
+    r_i, r_j = ranks[i], ranks[j]
+    out = np.zeros((len(i), states.shape[-1]))
+    dense = (4 * (r_i + r_j) > states.shape[-1]) & (r_i > 0) & (r_j > 0)
+    low = np.flatnonzero(~dense & (r_i > 0) & (r_j > 0))
+    for r_a, r_b in sorted(set(zip(r_i[low].tolist(), r_j[low].tolist()))):
+        sel = low[(r_i[low] == r_a) & (r_j[low] == r_b)]
+        a, b = i[sel], j[sel]
+        out[sel, : r_a + r_b] = _low_rank_singular_values(
+            lam[a, :r_a], vecs[a, :, :r_a], lam[b, :r_b], vecs[b, :, :r_b]
+        )
+    if dense.any():
+        out[dense] = _pair_singular_values(states, i[dense], j[dense], None)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(m, 1)``, cached: it costs more than a small kernel call."""
+    iu, ju = np.triu_indices(m, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
+def _live_pairs(probs: np.ndarray):
+    """Every pair i < j of positive-probability members, batch-flattened.
 
     Pairs run ensemble by ensemble, each in lexicographic (i, j) order.
-    Returns the commutators, the pair weights 2 sqrt(p_i p_j), the
-    ensemble index of each pair, and the pair count of each ensemble.
+    Returns the ensemble of each pair, the pair's two member indices into
+    the flattened ``(B * m, ...)`` member axis, and each ensemble's count.
     """
-    iu, ju = np.triu_indices(probs.shape[1], 1)
+    m = probs.shape[1]
+    iu, ju = _upper_pairs(m)
     live = (probs[:, iu] > 0.0) & (probs[:, ju] > 0.0)
-    b, k = np.nonzero(live)
-    i, j = iu[k], ju[k]
-    a, c = states[b, i], states[b, j]
-    weights = 2.0 * np.sqrt(probs[b, i] * probs[b, j])
-    return a @ c - c @ a, weights, b, live.sum(axis=1)
+    owner, k = np.nonzero(live)
+    return owner, owner * m + iu[k], owner * m + ju[k], live.sum(axis=1)
+
+
+def _pair_blocks(count: int, d: int):
+    """Slices of at most ``BLOCK_BYTES`` of d x d complex commutators."""
+    step = max(1, BLOCK_BYTES // (16 * d * d))
+    return [slice(s, s + step) for s in range(0, count, step)]
 
 
 def quantumness_batch(probs, states, spec: NormSpec) -> np.ndarray:
     """Quantumness of each ensemble in a stack; see :func:`quantumness`."""
     probs = np.asarray(probs, dtype=float)
-    comm, weights, owner, counts = _live_commutators(probs, np.asarray(states))
+    states = np.asarray(states)
+    owner, i, j, counts = _live_pairs(probs)
     out = np.zeros(len(probs))
-    if len(comm) == 0:
+    if len(owner) == 0:
         return out
-    sv = _commutator_singular_values(comm)
-    norms = linalg.norm_from_singular_values(sv, spec)
-    if spec.kind == "schatten" and spec.p not in (1.0, 2.0, math.inf):
-        # The singular values of an ensemble with a single live pair used
-        # to reach numpy's power as a 1-D reversed-stride row, which numpy
-        # evaluates with the C library's pow (math.pow) instead of its
-        # vectorized routine; the two differ in the last bit.  Such
-        # ensembles keep that routine, so their values stay as they were.
-        lone = np.flatnonzero(counts[owner] == 1)
-        if lone.size:
-            powers = [math.pow(x, spec.p) for x in sv[lone].ravel().tolist()]
-            norms[lone] = np.sum(np.reshape(powers, (lone.size, -1)), axis=-1) ** (1.0 / spec.p)
+    d = states.shape[-1]
+    flat_probs = probs.ravel()
+    weights = 2.0 * np.sqrt(flat_probs[i] * flat_probs[j])
+    members = states.reshape(-1, d, d)
+    factors = _low_rank_factors(members, flat_probs > 0.0)
+    norms = np.empty(len(owner))
+    for blk in _pair_blocks(len(owner), d):
+        sv = _pair_singular_values(members, i[blk], j[blk], factors)
+        norms[blk] = linalg.norm_from_singular_values(sv, spec)
     terms = (weights * norms).tolist()
     start = 0
     for n, count in enumerate(counts.tolist()):
@@ -208,10 +302,16 @@ def is_classical_batch(probs, states, tol: float = 1e-9) -> np.ndarray:
     See :func:`is_classical`; returns a boolean array of length B.
     """
     probs = np.asarray(probs, dtype=float)
-    comm, _, owner, _ = _live_commutators(probs, np.asarray(states))
-    frobenius = np.sqrt(np.sum(np.abs(comm) ** 2, axis=(-2, -1)))
+    states = np.asarray(states)
+    owner, i, j, _ = _live_pairs(probs)
+    d = states.shape[-1]
+    members = states.reshape(-1, d, d)
     classical = np.ones(len(probs), dtype=bool)
-    classical[owner[frobenius > tol]] = False
+    for blk in _pair_blocks(len(owner), d):
+        a, c = members[i[blk]], members[j[blk]]
+        comm = a @ c - c @ a
+        frobenius = np.sqrt(np.sum(np.abs(comm) ** 2, axis=(-2, -1)))
+        classical[owner[blk][frobenius > tol]] = False
     return classical
 
 

@@ -14,7 +14,9 @@ The on-disk format is JSON::
 Complex entries are [re, im] pairs.  ``rho`` is a dim x dim density
 matrix, ``psi`` a length-dim amplitude vector (stored as its projector),
 and ``bloch`` a Bloch-ball vector (qubit files only).  Exactly one of the
-three must be present per member.
+three must be present per member.  Loading builds one ``(m, dim, dim)``
+stack from the parsed JSON, one ``np.array`` call per member kind, and
+validates it in one batch; every diagnostic names the offending member.
 """
 
 from __future__ import annotations
@@ -26,57 +28,70 @@ import numpy as np
 
 from .ensemble import Ensemble
 from .errors import EnsembleFileError, EnsqError
-from .states import DensityMatrix, PureState, density_from_bloch, projector
+from .states import PAULI_X, PAULI_Y, PAULI_Z, BlochVector, PureState, validate_density_stack
 
 __all__ = ["load_ensemble", "save_ensemble", "ensemble_to_payload"]
 
 _STATE_KEYS = ("rho", "psi", "bloch")
+# Rejects NaN, infinities and integers too large for a float.
+_MAX_FLOAT = float(np.finfo(float).max)
 
 
-def _complex_from_pair(entry, where: str) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(isinstance(x, (int, float)) for x in entry)
-    ):
-        raise EnsembleFileError(f"{where}: expected an [re, im] pair, got {entry!r}")
-    return complex(entry[0], entry[1])
-
-
-def _member_state(spec: dict, dim: int, where: str) -> DensityMatrix:
-    present = [k for k in _STATE_KEYS if k in spec]
-    if len(present) != 1:
-        raise EnsembleFileError(
-            f"{where}: need exactly one of {', '.join(_STATE_KEYS)}, got {present or 'none'}"
-        )
-    key = present[0]
-    value = spec[key]
+def _numbers(values, shape: tuple):
+    """JSON values as one float array of exactly ``shape``, or None."""
     try:
-        if key == "rho":
-            if not isinstance(value, list) or len(value) != dim:
-                raise EnsembleFileError(f"{where}: rho must be a {dim}x{dim} matrix")
-            rows = []
-            for r, row in enumerate(value):
-                if not isinstance(row, list) or len(row) != dim:
-                    raise EnsembleFileError(f"{where}: rho must be a {dim}x{dim} matrix")
-                rows.append([_complex_from_pair(x, f"{where}, rho[{r}]") for x in row])
-            return DensityMatrix(np.array(rows))
-        if key == "psi":
-            if not isinstance(value, list) or len(value) != dim:
-                raise EnsembleFileError(f"{where}: psi must have {dim} amplitudes")
-            amps = [_complex_from_pair(x, f"{where}, psi") for x in value]
-            return projector(PureState(np.array(amps)))
-        if dim != 2:
-            raise EnsembleFileError(f"{where}: bloch members need dim 2, file has dim {dim}")
-        if not isinstance(value, list) or len(value) != 3 or not all(
-            isinstance(x, (int, float)) for x in value
-        ):
-            raise EnsembleFileError(f"{where}: bloch must be [x, y, z]")
-        return density_from_bloch(value)
-    except EnsembleFileError:
-        raise
-    except EnsqError as exc:
-        raise EnsembleFileError(f"{where}: {exc}") from exc
+        arr = np.array(values)
+    except (ValueError, TypeError):  # ragged nesting
+        return None
+    if arr.shape != shape or arr.dtype.kind not in "biuf":
+        return None
+    return arr.astype(float)
+
+
+def _kind_stack(members: list, idx: list, key: str, shape: tuple, what: str) -> np.ndarray:
+    """The ``key`` values of members ``idx`` as floats ``(len(idx), *shape)``."""
+    values = [members[i][key] for i in idx]
+    arr = _numbers(values, (len(idx), *shape))
+    if arr is None:
+        bad = next((i for i, v in zip(idx, values) if _numbers(v, shape) is None), idx[0])
+        raise EnsembleFileError(f"member {bad}: {key} must be {what}")
+    return arr
+
+
+def _complex(pairs: np.ndarray) -> np.ndarray:
+    """Complex numbers from a C-contiguous float array of [re, im] pairs."""
+    return pairs.view(complex)[..., 0]
+
+
+def _check_members(idx, check, values) -> None:
+    """Run ``check`` on each member's value; an error names the member."""
+    for i, value in zip(idx, values):
+        try:
+            check(value)
+        except EnsqError as exc:
+            raise EnsembleFileError(f"member {i}: {exc}") from exc
+
+
+def _member_states(members: list, kinds: dict, dim: int) -> np.ndarray:
+    """Unvalidated ``(m, dim, dim)`` stack of every member's state."""
+    stack = np.empty((len(members), dim, dim), dtype=complex)
+    idx = kinds["rho"]
+    if idx:
+        what = f"a {dim}x{dim} matrix of [re, im] pairs"
+        stack[idx] = _complex(_kind_stack(members, idx, "rho", (dim, dim, 2), what))
+    idx = kinds["psi"]
+    if idx:
+        amps = _complex(_kind_stack(members, idx, "psi", (dim, 2), f"{dim} [re, im] amplitudes"))
+        _check_members(idx, PureState, amps)
+        m = amps[:, :, None] * amps.conj()[:, None, :]
+        stack[idx] = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    idx = kinds["bloch"]
+    if idx:
+        r = _kind_stack(members, idx, "bloch", (3,), "[x, y, z]")
+        _check_members(idx, lambda v: BlochVector(*v), r)
+        x, y, z = (r[:, c, None, None] for c in range(3))
+        stack[idx] = (np.eye(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0
+    return stack
 
 
 def load_ensemble(path) -> Ensemble:
@@ -94,17 +109,33 @@ def load_ensemble(path) -> Ensemble:
     members = data.get("members")
     if not isinstance(members, list) or not members:
         raise EnsembleFileError(f"{path}: members must be a nonempty list")
-    pairs = []
+    probs = []
+    kinds = {key: [] for key in _STATE_KEYS}
     for idx, spec in enumerate(members):
         where = f"member {idx}"
         if not isinstance(spec, dict):
             raise EnsembleFileError(f"{where}: must be an object")
         p = spec.get("p")
-        if not isinstance(p, (int, float)) or isinstance(p, bool) or p < 0:
-            raise EnsembleFileError(f"{where}: p must be a nonnegative number")
-        pairs.append((float(p), _member_state(spec, dim, where)))
+        if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0 <= p <= _MAX_FLOAT:
+            raise EnsembleFileError(f"{where}: p must be a finite nonnegative number")
+        present = [k for k in _STATE_KEYS if k in spec]
+        if len(present) != 1:
+            raise EnsembleFileError(
+                f"{where}: need exactly one of {', '.join(_STATE_KEYS)}, got {present or 'none'}"
+            )
+        if present[0] == "bloch" and dim != 2:
+            raise EnsembleFileError(f"{where}: bloch members need dim 2, file has dim {dim}")
+        probs.append(float(p))
+        kinds[present[0]].append(idx)
+    stack = _member_states(members, kinds, dim)
     try:
-        return Ensemble(tuple(pairs))
+        states = validate_density_stack(stack)
+    except EnsqError:
+        # Name the first offending member.
+        _check_members(range(len(stack)), lambda rho: validate_density_stack(rho[None]), stack)
+        raise
+    try:
+        return Ensemble.from_stack(probs, states)
     except EnsqError as exc:
         raise EnsembleFileError(f"{path}: {exc}") from exc
 

@@ -259,23 +259,25 @@ def norm_from_singular_values(s: np.ndarray, spec: NormSpec):
 
     ``s`` holds nonincreasing singular values along the last axis; a 2-D
     input yields one norm per row.  Shared by :func:`norm` and the batched
-    ensemble kernel so the two routes use identical arithmetic.  The input
-    is made C-contiguous first: numpy's ``power`` takes another routine,
-    differing in the last bit, for a reversed-stride row, and a row's norm
-    should not depend on the memory layout it arrives in.
+    ensemble kernel so the two routes use identical arithmetic.  Rows are
+    made C-contiguous and a single row is handled as a batch of one:
+    numpy's ``power`` takes another routine, differing in the last bit,
+    for a reversed-stride row or a scalar, and a row's norm should not
+    depend on the shape or memory layout it arrives in.
     """
     s = np.ascontiguousarray(s, dtype=float)
     n = s.shape[-1]
+    rows = s.reshape(-1, n)
     if spec.kind == "schatten":
         if math.isinf(spec.p):
-            v = s[..., 0]
+            v = rows[:, 0]
         else:
-            v = np.sum(s**spec.p, axis=-1) ** (1.0 / spec.p)
+            v = np.sum(rows**spec.p, axis=-1) ** (1.0 / spec.p)
     else:
         if spec.k > n:
             raise InvalidNormSpec(f"kyfan order {spec.k} exceeds dimension {n}")
-        v = np.sum(s[..., : spec.k], axis=-1)
-    return float(v) if v.ndim == 0 else v
+        v = np.sum(rows[:, : spec.k], axis=-1)
+    return float(v[0]) if s.ndim == 1 else v.reshape(s.shape[:-1])
 
 
 def norm(a, spec: NormSpec) -> float:

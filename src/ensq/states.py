@@ -90,18 +90,23 @@ def _first(bad: np.ndarray):
 def validate_density_stack(stack) -> np.ndarray:
     """Validate a stack ``(..., d, d)`` of density matrices in one batch.
 
-    Every matrix gets the ``DensityMatrix`` checks (Hermitian and unit
-    trace within 1e-10, no eigenvalue below -1e-10) and the same repair:
-    eigenvalues in ``[-1e-10, 0)`` are clamped to zero and the matrix is
-    renormalized.  The first offending matrix names the error.  Returns a
-    read-only copy.
+    Every matrix gets the ``DensityMatrix`` checks (finite entries,
+    Hermitian and unit trace within 1e-10, no eigenvalue below -1e-10) and
+    the same repair: eigenvalues in ``[-1e-10, 0)`` are clamped to zero and
+    the matrix is renormalized.  The first offending matrix names the
+    error.  Returns a read-only copy.
     """
     m = np.array(stack, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {m.shape}")
-    defect = np.abs(m - _adjoint(m)).max(axis=(-2, -1))
-    i = _first(defect > linalg.HERMITIAN_TOL)
+    # A NaN or infinite entry makes the defect NaN or infinite, so the one
+    # comparison below also rejects non-finite matrices.
+    with np.errstate(invalid="ignore"):
+        defect = np.abs(m - _adjoint(m)).max(axis=(-2, -1))
+    i = _first(~(defect <= linalg.HERMITIAN_TOL))
     if i is not None:
+        if not np.isfinite(defect.flat[i]):
+            raise InvalidState("density matrix has a non-finite entry")
         raise InvalidState(f"density matrix not Hermitian (defect {defect.flat[i]:.3e})")
     tr = _trace(m)
     i = _first(np.abs(tr - 1.0) > TRACE_TOL)
@@ -215,7 +220,7 @@ class PureState:
         if a.ndim != 1 or a.size == 0:
             raise InvalidState(f"amplitudes must be a nonempty vector, got shape {a.shape}")
         nrm = float(np.linalg.norm(a))
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:  # NaN fails too
             raise InvalidState(f"amplitude vector has norm {nrm:.12g}, expected 1")
         object.__setattr__(self, "amplitudes", _frozen(a))
 
@@ -245,7 +250,7 @@ class BlochVector:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "z", float(self.z))
-        if self.length() > 1.0 + 1e-10:
+        if not self.length() <= 1.0 + 1e-10:  # NaN fails too
             raise BlochOutOfBall(f"Bloch vector length {self.length():.12g} exceeds 1")
 
     def length(self) -> float:

@@ -163,6 +163,48 @@ def test_cli_compute_parse_failure_exits_2(tmp_path, capsys):
     assert main(["compute", str(tmp_path / "missing.json")]) == 2
 
 
+BAD_NUMBER_MEMBERS = {
+    "p": {"p": math.nan, "bloch": [0.0, 0.0, 1.0]},
+    "p-inf": {"p": math.inf, "bloch": [0.0, 0.0, 1.0]},
+    "p-huge-int": {"p": 10**400, "bloch": [0.0, 0.0, 1.0]},
+    "rho": {"p": 0.5, "rho": [[[0.5, 0.0], [math.nan, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+    "rho-inf": {"p": 0.5, "rho": [[[math.inf, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+    "psi": {"p": 0.5, "psi": [[1.0, 0.0], [0.0, math.nan]]},
+    "bloch": {"p": 0.5, "bloch": [math.nan, 0.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_NUMBER_MEMBERS))
+def test_cli_compute_rejects_non_finite_numbers(tmp_path, capsys, kind):
+    # json.dumps writes NaN and Infinity literals, which json.loads accepts;
+    # 10**400 is an exact JSON integer that no float can hold.
+    good = {"p": 0.5, "bloch": [1.0, 0.0, 0.0]}
+    payload = {"dim": 2, "members": [good, BAD_NUMBER_MEMBERS[kind]]}
+    path = write_json(tmp_path / "nan.json", payload)
+    with pytest.raises(EnsembleFileError, match="member 1"):
+        io.load_ensemble(path)
+    assert main(["compute", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "member 1" in captured.err
+
+
+def test_load_names_member_with_malformed_entries(tmp_path):
+    good = {"p": 0.25, "rho": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+    for bad in (
+        {"p": 0.25, "rho": [[[0.5, 0.0], [0.0]], [[0.0, 0.0], [0.5, 0.0]]]},  # ragged
+        {"p": 0.25, "rho": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["0.5", 0.0]]]},
+        {"p": 0.25, "rho": [[[0.5, 0.0], [0.0, 0.0]]]},  # 1 x 2
+        {"p": 0.25, "psi": [[1.0, 0.0], [0.0, None]]},
+        {"p": 0.25, "psi": [[1.0, 0.0]]},
+        {"p": 0.25, "bloch": [0.0, 0.0]},
+        {"p": 0.25, "bloch": [0.0, 0.0, 1.5]},
+    ):
+        payload = {"dim": 2, "members": [good, good, bad, good]}
+        with pytest.raises(EnsembleFileError, match="member 2"):
+            io.load_ensemble(write_json(tmp_path / "bad.json", payload))
+
+
 def test_cli_bad_norm_is_usage_error(tmp_path):
     path = example3_file(tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,9 @@ import pytest
 from ensq.ensemble import (
     Ensemble,
     Partition,
+    _low_rank_factors,
+    _pair_singular_values,
+    check_weights,
     coarse_grain,
     decompose_member,
     fine_grain,
@@ -74,6 +77,15 @@ def test_ensemble_validation():
     assert isinstance(e.states[0], DensityMatrix)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_rejected(bad):
+    rho = DensityMatrix(np.eye(2) / 2.0)
+    with pytest.raises(ParamOutOfRange, match="non-finite"):
+        check_weights([[0.5, 0.5], [bad, 1.0]], "weights")
+    with pytest.raises(ParamOutOfRange, match="non-finite"):
+        Ensemble(((bad, rho), (1.0, rho)))
+
+
 def test_quantumness_of_classical_ensemble_is_exactly_zero():
     e = Ensemble(
         (
@@ -109,16 +121,17 @@ def test_quantumness_known_two_pure_state_value():
 
 
 def test_pair_commutator_singular_values_match_analytic_form():
+    # d < 8 takes the dense route, d = 16 and 32 the low-rank route (k = 2).
     rng = np.random.default_rng(41)
-    from ensq.ensemble import _pair_singular_values
-
-    for dim in (2, 3, 4):
+    for dim in (2, 3, 4, 16, 32):
         for _ in range(20):
             psi = random_pure_state(dim, rng)
             phi = random_pure_state(dim, rng)
             c = abs(np.vdot(psi.amplitudes, phi.amplitudes))
             stack = np.stack([projector(psi).matrix, projector(phi).matrix])
-            got = _pair_singular_values(stack, [(0, 1)])[0]
+            factors = _low_rank_factors(stack, np.ones(2, dtype=bool))
+            assert (factors is None) == (dim < 8)
+            got = _pair_singular_values(stack, np.array([0]), np.array([1]), factors)[0]
             want = analytic_pair_singular_values(c, dim)
             assert np.abs(got - want).max() <= 1e-10
 
@@ -342,19 +355,31 @@ def test_average_state_is_probability_weighted():
 @pytest.mark.parametrize("spec", [*SPECS, NormSpec.schatten(2.5)], ids=lambda s: s.label())
 def test_batched_kernel_matches_single_ensemble_bit_for_bit(spec):
     rng = np.random.default_rng(60)
-    for dim, members in [(2, 2), (3, 4), (4, 3), (9, 3)]:
+
+    def random_rank(dim):
+        return random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng)
+
+    def rank_one_or_depolarized(dim):
+        # Low-rank route at d = 16: rank 1, depolarized rank 1, or I/d (rank 0).
+        kind = int(rng.integers(3))
+        rho = random_density_matrix(dim, 1, rng).matrix
+        return [rho, (rho + np.eye(dim) / dim) / 2.0, np.eye(dim) / dim][kind]
+
+    cases = [
+        (2, 2, random_rank),
+        (3, 4, random_rank),
+        (4, 3, random_rank),
+        (9, 3, random_rank),
+        (16, 4, rank_one_or_depolarized),
+    ]
+    for dim, members, draw in cases:
         ensembles = []
         for n in range(24):
             probs = rng.random(members)
             if members >= 3 and n % 3 == 0:
                 probs[n % members] = 0.0  # fewer live pairs, down to one
             ensembles.append(
-                Ensemble(
-                    tuple(
-                        (p, random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng))
-                        for p in probs / probs.sum()
-                    )
-                )
+                Ensemble(tuple((p, draw(dim)) for p in probs / probs.sum()))
             )
         probs = np.stack([e.probabilities for e in ensembles])
         states = np.stack([e.state_stack for e in ensembles])

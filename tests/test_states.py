@@ -47,6 +47,24 @@ def test_density_matrix_rejects_bad_input():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_density_stack_rejects_non_finite_entries(bad):
+    for row, col in [(0, 0), (0, 1)]:
+        m = np.eye(2, dtype=complex) / 2.0
+        m[row, col] = bad
+        with pytest.raises(InvalidState, match="non-finite"):
+            states.validate_density_stack(np.stack([np.eye(2) / 2.0, m]))
+        with pytest.raises(InvalidState, match="non-finite"):
+            DensityMatrix(m)
+
+
+def test_pure_state_and_bloch_vector_reject_nan():
+    with pytest.raises(InvalidState):
+        PureState(np.array([math.nan, 0.0]))
+    with pytest.raises(BlochOutOfBall):
+        BlochVector(math.nan, 0.0, 0.0)
+
+
 def test_density_matrix_clamps_round_off_negatives():
     rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
     w = rho.eigenvalues()
