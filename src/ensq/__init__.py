@@ -27,7 +27,6 @@ from .linalg import (
     NormSpec,
     commutator,
     gram_singular_values,
-    hermitian_eig,
     hermitian_eigenvalues,
     norm,
     singular_values,
@@ -96,7 +95,6 @@ __all__ = [
     "errors",
     "fine_grain",
     "gram_singular_values",
-    "hermitian_eig",
     "hermitian_eigenvalues",
     "is_classical",
     "load_ensemble",

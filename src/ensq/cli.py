@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io, sweeps
 from .ensemble import Ensemble, quantumness
-from .errors import EnsqError
+from .errors import EnsqError, ParamOutOfRange
 from .harness import check_properties
 from .linalg import InvalidNormSpec, NormSpec
 from .states import random_density_matrix
@@ -91,6 +91,8 @@ def cmd_examples(args) -> int:
 
 
 def cmd_random(args) -> int:
+    if args.members < 1:
+        raise ParamOutOfRange(f"members must be >= 1, got {args.members}")
     rng = np.random.default_rng(args.seed)
     probs = rng.random(args.members)
     probs = probs / probs.sum()

@@ -30,7 +30,7 @@ from .errors import (
     WeightSumInvalid,
     ZeroBlockProbability,
 )
-from .linalg import NormSpec
+from .linalg import TOL, NormSpec
 from .states import DensityMatrix, _adjoint, _hermitize, _validated, validate_density_stack
 
 __all__ = [
@@ -52,10 +52,6 @@ __all__ = [
     "unitary_conjugate",
 ]
 
-WEIGHT_TOL = 1e-10
-MIX_TOL = 1e-10
-UNITARY_TOL = 1e-10
-
 # The pair kernel works through pairs in blocks of at most this many bytes
 # of d x d commutators, so its memory does not grow with the pair count.
 BLOCK_BYTES = 1 << 24
@@ -66,7 +62,7 @@ LOW_RANK_MIN_DIM = 8
 
 
 def check_weights(weights, what: str) -> None:
-    """Each row of ``weights`` must be finite, nonnegative and sum to one within 1e-10.
+    """Each row of ``weights`` must be finite, nonnegative and sum to one within ``TOL``.
 
     The sum is exact (``math.fsum``); ``what`` prefixes error messages.
     """
@@ -81,58 +77,85 @@ def check_weights(weights, what: str) -> None:
     if neg.size:
         raise ParamOutOfRange(f"{what}: negative weight {float(neg[0])!r}")
     for total in map(math.fsum, w.tolist()):
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if abs(total - 1.0) > TOL:
             raise WeightSumInvalid(f"{what}: weights sum to {total!r}, expected 1")
 
 
-@dataclass(frozen=True, eq=False)
-class Ensemble:
-    """An ordered collection of (probability, DensityMatrix) members.
+def _member_stack(members) -> tuple[np.ndarray, np.ndarray]:
+    """Weights ``(n,)`` and validated states ``(n, d, d)`` of (weight, state) pairs.
 
-    Probabilities must be nonnegative and sum to one within 1e-10; members
-    with zero probability are kept (they contribute nothing to the
-    quantumness) and duplicates are not merged.  Raw arrays are accepted in
-    place of ``DensityMatrix`` and validated on the way in.
+    Raw arrays are validated together in one batch; ``DensityMatrix``
+    states are kept as they are, since validating again could clamp again.
+    """
+    members = tuple(members)
+    matrices = [
+        s.matrix if isinstance(s, DensityMatrix) else linalg.as_matrix(s) for _, s in members
+    ]
+    dims = sorted({m.shape[0] for m in matrices})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"states have mixed dimensions {dims}")
+    stack = np.array(matrices, dtype=complex)
+    raw = [i for i, (_, s) in enumerate(members) if not isinstance(s, DensityMatrix)]
+    if raw:
+        stack[raw] = validate_density_stack(stack[raw])
+    return np.array([float(w) for w, _ in members]), stack
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Ensemble:
+    """An ordered collection of (probability, density matrix) members.
+
+    Stored as two read-only arrays and nothing else: ``probabilities``
+    ``(m,)`` and ``state_stack`` ``(m, d, d)``; ``members``, ``states`` and
+    iteration are derived from them.  Probabilities must be nonnegative
+    and sum to one within ``TOL``; members with zero probability are kept
+    (they contribute nothing to the quantumness) and duplicates are not
+    merged.  Raw arrays are accepted in place of ``DensityMatrix`` and
+    validated together in one batch.
     """
 
-    members: tuple
-    probabilities: np.ndarray = field(init=False, repr=False)
-    state_stack: np.ndarray = field(init=False, repr=False)
+    probabilities: np.ndarray
+    state_stack: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        pairs = []
-        for p, s in self.members:
-            if not isinstance(s, DensityMatrix):
-                s = DensityMatrix(s)
-            pairs.append((float(p), s))
-        probarr = np.array([p for p, _ in pairs], dtype=float)
-        check_weights(probarr, "ensemble probabilities")
-        dims = {s.dim for _, s in pairs}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"members have mixed dimensions {sorted(dims)}")
-        stack = np.stack([s.matrix for _, s in pairs])
-        stack.setflags(write=False)
-        probarr.setflags(write=False)
-        object.__setattr__(self, "members", tuple(pairs))
-        object.__setattr__(self, "probabilities", probarr)
-        object.__setattr__(self, "state_stack", stack)
+    def __init__(self, members) -> None:
+        self.__post_init__(*_member_stack(members))
+
+    def __post_init__(self, probabilities, states) -> None:
+        """Both constructors end here: check the weights and the stack shape,
+        then store the two arrays read-only."""
+        probs = np.array(probabilities, dtype=float)
+        check_weights(probs, "ensemble probabilities")
+        if states.ndim != 3 or states.shape[:1] != probs.shape:
+            raise DimensionMismatch(
+                f"{probs.shape[0]} probabilities for a state stack of shape {states.shape}"
+            )
+        probs.setflags(write=False)
+        states.setflags(write=False)
+        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "state_stack", states)
 
     @classmethod
     def from_stack(cls, probabilities, states) -> "Ensemble":
         """Ensemble over ``states`` ``(m, d, d)`` already passed by
         ``validate_density_stack``; only the probabilities are checked."""
-        return cls(tuple(zip(np.asarray(probabilities).tolist(), map(_validated, states))))
+        ensemble = object.__new__(cls)
+        ensemble.__post_init__(probabilities, np.array(states, dtype=complex))
+        return ensemble
 
     @property
     def dim(self) -> int:
-        return self.members[0][1].dim
+        return self.state_stack.shape[-1]
 
     @property
     def states(self) -> tuple:
-        return tuple(s for _, s in self.members)
+        return tuple(map(_validated, self.state_stack))
+
+    @property
+    def members(self) -> tuple:
+        return tuple(zip(self.probabilities.tolist(), self.states))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.probabilities)
 
     def __iter__(self):
         return iter(self.members)
@@ -149,19 +172,6 @@ class Ensemble:
 # depends on the batch it is computed in: numpy runs batched matmul and
 # eigensolvers matrix by matrix, and every reduction stays within one
 # matrix or one row.
-
-
-def _commutator_singular_values(c: np.ndarray) -> np.ndarray:
-    """Nonincreasing singular values of a stack of anti-Hermitian matrices.
-
-    Commutators of Hermitian matrices are anti-Hermitian, so one batched
-    Hermitian eigendecomposition of ``i c`` covers the whole stack.
-    """
-    try:
-        w = np.linalg.eigvalsh(1j * c)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    return np.sort(np.abs(w), axis=-1)[..., ::-1]
 
 
 def _low_rank_factors(states: np.ndarray, live: np.ndarray):
@@ -208,7 +218,7 @@ def _low_rank_singular_values(lam_a, vec_a, lam_b, vec_b) -> np.ndarray:
     r = np.linalg.qr(np.concatenate([vec_a, vec_b], axis=-1), mode="r")
     x = (r[..., :r_a] * lam_a[:, None, :]) @ _adjoint(r[..., :r_a])
     y = (r[..., r_a:] * lam_b[:, None, :]) @ _adjoint(r[..., r_a:])
-    return _commutator_singular_values(x @ y - y @ x)
+    return linalg.antihermitian_singular_values(x @ y - y @ x)
 
 
 def _pair_singular_values(states: np.ndarray, i, j, factors) -> np.ndarray:
@@ -225,7 +235,7 @@ def _pair_singular_values(states: np.ndarray, i, j, factors) -> np.ndarray:
     """
     if factors is None:
         a, b = states[i], states[j]
-        return _commutator_singular_values(a @ b - b @ a)
+        return linalg.antihermitian_singular_values(a @ b - b @ a)
     ranks, lam, vecs = factors
     r_i, r_j = ranks[i], ranks[j]
     out = np.zeros((len(i), states.shape[-1]))
@@ -319,11 +329,11 @@ def conjugate_batch(states, u) -> np.ndarray:
     """U_b rho U_b^dagger for every member of ensemble b.
 
     ``states`` is ``(B, m, d, d)`` and ``u`` holds one unitary per
-    ensemble, ``(B, d, d)``, each checked to 1e-10.
+    ensemble, ``(B, d, d)``, each checked to ``TOL``.
     """
     u = np.asarray(u, dtype=complex)
     defect = np.abs(_adjoint(u) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
-    bad = np.flatnonzero(defect > UNITARY_TOL)
+    bad = np.flatnonzero(defect > TOL)
     if bad.size:
         raise NotUnitary(f"unitarity defect {defect[bad[0]]:.3e}")
     u = u[:, None]
@@ -350,7 +360,7 @@ def check_decompositions(weights, parts, targets, members) -> None:
 
     ``weights`` ``(B, n, K)`` must be probability vectors and the validated
     ``parts`` ``(B, n, K, d, d)`` must recombine to ``targets``
-    ``(B, n, d, d)`` within 1e-10.  ``members[i]`` is the member index of
+    ``(B, n, d, d)`` within ``TOL``.  ``members[i]`` is the member index of
     column ``i``, used in error messages.
     """
     for i, member in enumerate(members):
@@ -359,7 +369,7 @@ def check_decompositions(weights, parts, targets, members) -> None:
     for k in range(1, weights.shape[-1]):
         mix = mix + weights[..., k, None, None] * parts[..., k, :, :]
     defect = np.abs(mix - targets).max(axis=(-2, -1))
-    bad = np.argwhere(defect > MIX_TOL)
+    bad = np.argwhere(defect > TOL)
     if bad.size:
         b, i = bad[0]
         raise DecompositionMismatch(
@@ -452,22 +462,16 @@ def probabilistic_union(ensembles, weights) -> Ensemble:
     return Ensemble.from_stack(probs[0], states[0])
 
 
-def _check_parts(parts, target: DensityMatrix, index: int):
-    """Validate one member's decomposition; returns (weights, part stack)."""
+def _check_parts(parts, target: np.ndarray, index: int):
+    """Validate one decomposition of state ``target``; returns (weights, part stack)."""
     what = f"decomposition of member {index}"
-    states = []
-    lams = []
-    for lam, s in parts:
-        if not isinstance(s, DensityMatrix):
-            s = DensityMatrix(s)
-        if s.dim != target.dim:
-            raise DimensionMismatch(f"{what}: part dim {s.dim} != state dim {target.dim}")
-        lams.append(float(lam))
-        states.append(s.matrix)
-    if not states:
+    weights, stack = _member_stack(parts)
+    if not weights.size:
         raise ParamOutOfRange(f"{what}: need at least one weight")
-    weights, stack = np.array(lams), np.stack(states)
-    check_decompositions(weights[None, None], stack[None, None], target.matrix[None, None], [index])
+    dim = target.shape[-1]
+    if stack.shape[-1] != dim:
+        raise DimensionMismatch(f"{what}: part dim {stack.shape[-1]} != state dim {dim}")
+    check_decompositions(weights[None, None], stack[None, None], target[None, None], [index])
     return weights, stack
 
 
@@ -481,7 +485,7 @@ def decompose_member(ensemble: Ensemble, index: int, parts) -> list[Ensemble]:
     """
     if not 0 <= index < len(ensemble):
         raise IndexError(f"member index {index} outside 0..{len(ensemble) - 1}")
-    _, stack = _check_parts(parts, ensemble.states[index], index)
+    _, stack = _check_parts(parts, ensemble.state_stack[index], index)
     out = []
     for part in stack:
         states = ensemble.state_stack.copy()
@@ -502,7 +506,7 @@ def fine_grain(ensemble: Ensemble, decompositions) -> Ensemble:
             f"got {len(decompositions)} decompositions for {len(ensemble)} members"
         )
     probs, states = [], []
-    for i, (p_i, target) in enumerate(ensemble.members):
+    for i, (p_i, target) in enumerate(zip(ensemble.probabilities.tolist(), ensemble.state_stack)):
         weights, stack = _check_parts(decompositions[i], target, i)
         probs.append(p_i * weights)
         states.append(stack)

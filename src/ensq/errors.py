@@ -37,7 +37,7 @@ class NotUnitary(EnsqError):
     """A matrix required to be unitary deviates beyond tolerance."""
 
 
-class WeightSumInvalid(EnsqError):
+class WeightSumInvalid(ParamOutOfRange):
     """Probability weights do not sum to one."""
 
 

@@ -15,8 +15,8 @@ Complex entries are [re, im] pairs.  ``rho`` is a dim x dim density
 matrix, ``psi`` a length-dim amplitude vector (stored as its projector),
 and ``bloch`` a Bloch-ball vector (qubit files only).  Exactly one of the
 three must be present per member.  Loading builds one ``(m, dim, dim)``
-stack from the parsed JSON, one ``np.array`` call per member kind, and
-validates it in one batch; every diagnostic names the offending member.
+stack from the parsed JSON with one ``np.array`` call and one validated
+stack form per member kind; every diagnostic names the offending member.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .ensemble import Ensemble
 from .errors import EnsembleFileError, EnsqError
-from .states import PAULI_X, PAULI_Y, PAULI_Z, BlochVector, PureState, validate_density_stack
+from .states import density_from_bloch_stack, projector_stack, validate_density_stack
 
 __all__ = ["load_ensemble", "save_ensemble", "ensemble_to_payload"]
 
@@ -63,34 +63,39 @@ def _complex(pairs: np.ndarray) -> np.ndarray:
     return pairs.view(complex)[..., 0]
 
 
-def _check_members(idx, check, values) -> None:
-    """Run ``check`` on each member's value; an error names the member."""
-    for i, value in zip(idx, values):
-        try:
-            check(value)
-        except EnsqError as exc:
-            raise EnsembleFileError(f"member {i}: {exc}") from exc
+def _member_states(idx: list, make, values) -> np.ndarray:
+    """``make(values)`` for members ``idx``; an error names the first offending member."""
+    try:
+        return make(values)
+    except EnsqError:
+        for i, value in zip(idx, values):
+            try:
+                make(value[None])
+            except EnsqError as exc:
+                raise EnsembleFileError(f"member {i}: {exc}") from exc
+        raise
 
 
-def _member_states(members: list, kinds: dict, dim: int) -> np.ndarray:
-    """Unvalidated ``(m, dim, dim)`` stack of every member's state."""
-    stack = np.empty((len(members), dim, dim), dtype=complex)
+def _validated_states(members: list, kinds: dict, dim: int) -> np.ndarray:
+    """Validated ``(m, dim, dim)`` stack of every member's state."""
+    parts = []
     idx = kinds["rho"]
     if idx:
         what = f"a {dim}x{dim} matrix of [re, im] pairs"
-        stack[idx] = _complex(_kind_stack(members, idx, "rho", (dim, dim, 2), what))
+        rho = _complex(_kind_stack(members, idx, "rho", (dim, dim, 2), what))
+        parts.append((idx, _member_states(idx, validate_density_stack, rho)))
     idx = kinds["psi"]
     if idx:
         amps = _complex(_kind_stack(members, idx, "psi", (dim, 2), f"{dim} [re, im] amplitudes"))
-        _check_members(idx, PureState, amps)
-        m = amps[:, :, None] * amps.conj()[:, None, :]
-        stack[idx] = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+        parts.append((idx, _member_states(idx, projector_stack, amps)))
     idx = kinds["bloch"]
     if idx:
         r = _kind_stack(members, idx, "bloch", (3,), "[x, y, z]")
-        _check_members(idx, lambda v: BlochVector(*v), r)
-        x, y, z = (r[:, c, None, None] for c in range(3))
-        stack[idx] = (np.eye(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0
+        parts.append((idx, _member_states(idx, density_from_bloch_stack, r)))
+    # Allocated last, so that it is not held while a kind is validated.
+    stack = np.empty((len(members), dim, dim), dtype=complex)
+    for idx, states in parts:
+        stack[idx] = states
     return stack
 
 
@@ -127,13 +132,7 @@ def load_ensemble(path) -> Ensemble:
             raise EnsembleFileError(f"{where}: bloch members need dim 2, file has dim {dim}")
         probs.append(float(p))
         kinds[present[0]].append(idx)
-    stack = _member_states(members, kinds, dim)
-    try:
-        states = validate_density_stack(stack)
-    except EnsqError:
-        # Name the first offending member.
-        _check_members(range(len(stack)), lambda rho: validate_density_stack(rho[None]), stack)
-        raise
+    states = _validated_states(members, kinds, dim)
     try:
         return Ensemble.from_stack(probs, states)
     except EnsqError as exc:
@@ -149,7 +148,8 @@ def ensemble_to_payload(ensemble: Ensemble) -> dict:
     return {
         "dim": ensemble.dim,
         "members": [
-            {"p": float(p), "rho": _pairs(s.matrix)} for p, s in ensemble
+            {"p": p, "rho": _pairs(s)}
+            for p, s in zip(ensemble.probabilities.tolist(), ensemble.state_stack)
         ],
     }
 

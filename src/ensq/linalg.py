@@ -15,26 +15,23 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidNormSpec, NoConvergence, NotHermitian
 
 __all__ = [
-    "HERMITIAN_TOL",
+    "TOL",
     "NormSpec",
-    "add",
-    "adjoint",
+    "antihermitian_singular_values",
     "as_matrix",
     "commutator",
     "gram_singular_values",
-    "hermitian_eig",
     "hermitian_eigenvalues",
-    "hermiticity_defect",
-    "is_hermitian",
-    "multiply",
     "norm",
     "norm_from_singular_values",
-    "scale",
     "singular_values",
-    "trace",
 ]
 
-HERMITIAN_TOL = 1e-10
+# The one acceptance tolerance of the package: Hermiticity defects, trace
+# and weight-sum errors, negative eigenvalues, amplitude norms, Kraus
+# completeness, mixture recombination, unitarity defects and Bloch lengths
+# may each miss their exact value by at most this much.
+TOL = 1e-10
 
 # Commutators of Hermitian matrices are anti-Hermitian up to round-off; this
 # threshold decides when the cheap eigenvalue route for singular values applies.
@@ -49,75 +46,18 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
-
-
-def add(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    _same_dim(a, b)
-    return a + b
-
-
-def scale(z, a) -> np.ndarray:
-    return complex(z) * as_matrix(a)
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product of two equal-dimension square matrices."""
-    a, b = as_matrix(a), as_matrix(b)
-    _same_dim(a, b)
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    return complex(np.trace(as_matrix(a)))
-
-
-def hermiticity_defect(a) -> float:
-    """Largest entrywise deviation of ``a`` from its adjoint."""
-    m = as_matrix(a)
-    return float(np.abs(m - m.conj().T).max())
-
-
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
-    return hermiticity_defect(a) <= tol
-
-
 def commutator(a, b) -> np.ndarray:
     """AB - BA.  Anti-Hermitian (up to round-off) when A and B are Hermitian."""
     a, b = as_matrix(a), as_matrix(b)
-    _same_dim(a, b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
     return a @ b - b @ a
 
 
-def hermitian_eig(a, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with real eigenvalues ``w`` sorted nonincreasing and
-    the matching orthonormal eigenvectors in the columns of ``v``.  Inputs
-    whose hermiticity defect exceeds ``tol`` are rejected.
-    """
-    m = as_matrix(a)
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}")
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def hermitian_eigenvalues(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigenvalues(a, tol: float = TOL) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted nonincreasing."""
     m = as_matrix(a)
-    defect = hermiticity_defect(m)
+    defect = float(np.abs(m - m.conj().T).max())
     if defect > tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}")
     try:
@@ -125,6 +65,21 @@ def hermitian_eigenvalues(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     return w[::-1].copy()
+
+
+def antihermitian_singular_values(c: np.ndarray) -> np.ndarray:
+    """Nonincreasing singular values of a stack ``(..., d, d)`` of anti-Hermitian matrices.
+
+    Commutators of Hermitian matrices are anti-Hermitian, so one batched
+    Hermitian eigendecomposition of ``i c`` covers the whole stack.  This
+    is the only anti-Hermitian route: :func:`singular_values` and the
+    ensemble pair kernel both call it.
+    """
+    try:
+        w = np.linalg.eigvalsh(1j * c)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    return np.sort(np.abs(w), axis=-1)[..., ::-1]
 
 
 def gram_singular_values(a) -> np.ndarray:
@@ -147,18 +102,14 @@ def singular_values(a) -> np.ndarray:
     """Singular values of a square matrix, sorted nonincreasing.
 
     Anti-Hermitian input (the common case here: commutators of Hermitian
-    matrices) is detected and routed through a single Hermitian
-    eigendecomposition of ``iA``; everything else goes through the Gram
-    matrix A^dagger A.
+    matrices) is detected and goes through
+    :func:`antihermitian_singular_values`; everything else goes through
+    the Gram matrix A^dagger A.
     """
     m = as_matrix(a)
-    scale_ = float(np.abs(m).max())
-    if float(np.abs(m + m.conj().T).max()) <= _ANTIHERMITIAN_TOL * (1.0 + scale_):
-        try:
-            w = np.linalg.eigvalsh(1j * m)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"eigensolver failed: {exc}") from exc
-        return np.sort(np.abs(w))[::-1].copy()
+    scale = float(np.abs(m).max())
+    if float(np.abs(m + m.conj().T).max()) <= _ANTIHERMITIAN_TOL * (1.0 + scale):
+        return antihermitian_singular_values(m).copy()
     return gram_singular_values(m)
 
 
@@ -264,6 +215,11 @@ def norm_from_singular_values(s: np.ndarray, spec: NormSpec):
     numpy's ``power`` takes another routine, differing in the last bit,
     for a reversed-stride row or a scalar, and a row's norm should not
     depend on the shape or memory layout it arrives in.
+
+    A Schatten norm with finite p other than 1 or 2 is computed as
+    ``s_max * (sum (s / s_max)**p)**(1/p)`` (the scaling of Blue, ACM TOMS
+    4(1), 1978), so that ``s**p`` cannot underflow to zero or overflow for
+    large p; an all-zero row gives 0.
     """
     s = np.ascontiguousarray(s, dtype=float)
     n = s.shape[-1]
@@ -271,8 +227,12 @@ def norm_from_singular_values(s: np.ndarray, spec: NormSpec):
     if spec.kind == "schatten":
         if math.isinf(spec.p):
             v = rows[:, 0]
-        else:
+        elif spec.p in (1.0, 2.0):
             v = np.sum(rows**spec.p, axis=-1) ** (1.0 / spec.p)
+        else:
+            top = rows[:, :1]
+            scaled = rows / np.where(top > 0.0, top, 1.0)
+            v = top[:, 0] * np.sum(scaled**spec.p, axis=-1) ** (1.0 / spec.p)
     else:
         if spec.k > n:
             raise InvalidNormSpec(f"kyfan order {spec.k} exceeds dimension {n}")

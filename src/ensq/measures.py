@@ -14,14 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .ensemble import Ensemble, quantumness, unitary_conjugate
-from .errors import (
-    DimensionMismatch,
-    NonRealAmplitudes,
-    ParamOutOfRange,
-    WeightSumInvalid,
-)
-from .linalg import NormSpec
+from .ensemble import Ensemble, check_weights, quantumness, unitary_conjugate
+from .errors import DimensionMismatch, NonRealAmplitudes, ParamOutOfRange
+from .linalg import TOL, NormSpec
 from .states import DensityMatrix, PureState, _hermitize, projector, schmidt_coefficients
 
 __all__ = [
@@ -59,11 +54,8 @@ def pure_pair_quantumness(p1: float, p2: float, c: float) -> float:
     giving 4 c sqrt(p1 p2) sqrt(1 - c^2).  Maximal at c = 1/sqrt(2).
     """
     p1, p2, c = float(p1), float(p2), float(c)
-    if p1 < 0.0 or p2 < 0.0:
-        raise ParamOutOfRange(f"probabilities must be nonnegative, got {p1}, {p2}")
-    if abs(p1 + p2 - 1.0) > 1e-10:
-        raise ParamOutOfRange(f"probabilities sum to {p1 + p2!r}, expected 1")
-    if c < -_OVERLAP_SLOP or c > 1.0 + _OVERLAP_SLOP:
+    check_weights([p1, p2], "pure pair probabilities")
+    if not -_OVERLAP_SLOP <= c <= 1.0 + _OVERLAP_SLOP:  # NaN fails too
         raise ParamOutOfRange(f"overlap magnitude {c!r} outside [0, 1]")
     c = min(max(c, 0.0), 1.0)
     return 4.0 * c * math.sqrt(p1 * p2) * math.sqrt(max(1.0 - c * c, 0.0))
@@ -74,7 +66,7 @@ def coherence_l1_pure_qubit(psi: PureState) -> float:
     if psi.dim != 2:
         raise DimensionMismatch(f"need a qubit state, got dim {psi.dim}")
     a = psi.amplitudes
-    if float(np.abs(a.imag).max()) > 1e-10:
+    if float(np.abs(a.imag).max()) > TOL:
         raise NonRealAmplitudes("amplitudes must be real in the incoherent basis")
     return 2.0 * abs(float(a[0].real) * float(a[1].real))
 
@@ -121,23 +113,13 @@ class ClassicalQuantumState:
 
     def __post_init__(self) -> None:
         probs = tuple(float(p) for p in self.probs)
-        blocks = tuple(
-            b if isinstance(b, DensityMatrix) else DensityMatrix(b) for b in self.blocks
-        )
-        if not probs or len(probs) != len(blocks):
+        if not probs or len(probs) != len(self.blocks):
             raise ParamOutOfRange("need matching, nonempty probs and blocks")
-        for p in probs:
-            if p < 0.0:
-                raise ParamOutOfRange(f"negative probability {p!r}")
-        total = math.fsum(probs)
-        if abs(total - 1.0) > 1e-10:
-            raise WeightSumInvalid(f"probabilities sum to {total!r}, expected 1")
-        dims = {b.dim for b in blocks}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"blocks have mixed dimensions {sorted(dims)}")
+        # The ensemble checks the weights, the block dimensions and any raw blocks.
+        ensemble = Ensemble(tuple(zip(probs, self.blocks)))
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_ensemble", Ensemble(tuple(zip(probs, blocks))))
+        object.__setattr__(self, "blocks", ensemble.states)
+        object.__setattr__(self, "_ensemble", ensemble)
 
     @property
     def num_blocks(self) -> int:
@@ -184,7 +166,6 @@ def cq_append_ancilla(state: ClassicalQuantumState, sigma) -> ClassicalQuantumSt
     """
     if not isinstance(sigma, DensityMatrix):
         sigma = DensityMatrix(sigma)
-    blocks = tuple(
-        DensityMatrix(_hermitize(np.kron(b.matrix, sigma.matrix))) for b in state.blocks
-    )
+    # Raw blocks: the new state validates them in one batch.
+    blocks = tuple(_hermitize(np.kron(b.matrix, sigma.matrix)) for b in state.blocks)
     return ClassicalQuantumState(state.probs, blocks)

@@ -19,6 +19,7 @@ from .errors import (
     InvalidState,
     ParamOutOfRange,
 )
+from .linalg import TOL
 
 __all__ = [
     "PAULI_X",
@@ -29,25 +30,23 @@ __all__ = [
     "PureState",
     "QuantumChannel",
     "apply_channel",
+    "apply_channel_stack",
     "bloch_from_density",
     "density_from_bloch",
+    "density_from_bloch_stack",
     "eigenprojectors",
     "ginibre_states",
     "haar_unitaries",
     "overlap",
     "phase_damping",
     "projector",
+    "projector_stack",
     "random_density_matrix",
     "random_pure_state",
     "random_unitary",
     "schmidt_coefficients",
     "validate_density_stack",
 ]
-
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-NORM_TOL = 1e-10
-COMPLETENESS_TOL = 1e-10
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -91,9 +90,9 @@ def validate_density_stack(stack) -> np.ndarray:
     """Validate a stack ``(..., d, d)`` of density matrices in one batch.
 
     Every matrix gets the ``DensityMatrix`` checks (finite entries,
-    Hermitian and unit trace within 1e-10, no eigenvalue below -1e-10) and
-    the same repair: eigenvalues in ``[-1e-10, 0)`` are clamped to zero and
-    the matrix is renormalized.  The first offending matrix names the
+    Hermitian and unit trace within ``TOL``, no eigenvalue below ``-TOL``)
+    and the same repair: eigenvalues in ``[-TOL, 0)`` are clamped to zero
+    and the matrix is renormalized.  The first offending matrix names the
     error.  Returns a read-only copy.
     """
     m = np.array(stack, dtype=complex)
@@ -103,17 +102,17 @@ def validate_density_stack(stack) -> np.ndarray:
     # comparison below also rejects non-finite matrices.
     with np.errstate(invalid="ignore"):
         defect = np.abs(m - _adjoint(m)).max(axis=(-2, -1))
-    i = _first(~(defect <= linalg.HERMITIAN_TOL))
+    i = _first(~(defect <= TOL))
     if i is not None:
         if not np.isfinite(defect.flat[i]):
             raise InvalidState("density matrix has a non-finite entry")
         raise InvalidState(f"density matrix not Hermitian (defect {defect.flat[i]:.3e})")
     tr = _trace(m)
-    i = _first(np.abs(tr - 1.0) > TRACE_TOL)
+    i = _first(np.abs(tr - 1.0) > TOL)
     if i is not None:
         raise InvalidState(f"density matrix trace {complex(tr.flat[i]):.12g} is not 1")
     lo = np.linalg.eigvalsh(m)[..., 0]
-    i = _first(lo < -PSD_TOL)
+    i = _first(lo < -TOL)
     if i is not None:
         raise InvalidState(f"density matrix has negative eigenvalue {lo.flat[i]:.3e}")
     clamp = lo < 0.0
@@ -168,7 +167,7 @@ def haar_unitaries(gauss) -> np.ndarray:
 class DensityMatrix:
     """A validated density matrix (Hermitian, unit trace, positive).
 
-    Eigenvalues in ``[-1e-10, 0)`` are treated as round-off: they are
+    Eigenvalues in ``[-TOL, 0)`` are treated as round-off: they are
     clamped to zero and the matrix is renormalized.  Anything more negative
     is rejected.
     """
@@ -220,7 +219,7 @@ class PureState:
         if a.ndim != 1 or a.size == 0:
             raise InvalidState(f"amplitudes must be a nonempty vector, got shape {a.shape}")
         nrm = float(np.linalg.norm(a))
-        if not abs(nrm - 1.0) <= NORM_TOL:  # NaN fails too
+        if not abs(nrm - 1.0) <= TOL:  # NaN fails too
             raise InvalidState(f"amplitude vector has norm {nrm:.12g}, expected 1")
         object.__setattr__(self, "amplitudes", _frozen(a))
 
@@ -250,7 +249,7 @@ class BlochVector:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "z", float(self.z))
-        if not self.length() <= 1.0 + 1e-10:  # NaN fails too
+        if not self.length() <= 1.0 + TOL:  # NaN fails too
             raise BlochOutOfBall(f"Bloch vector length {self.length():.12g} exceeds 1")
 
     def length(self) -> float:
@@ -276,7 +275,7 @@ class QuantumChannel:
                 raise DimensionMismatch("Kraus operators must share one dimension")
         total = sum(k.conj().T @ k for k in ops)
         defect = float(np.abs(total - np.eye(dim)).max())
-        if defect > COMPLETENESS_TOL:
+        if defect > TOL:
             raise InvalidState(f"Kraus completeness defect {defect:.3e}")
         object.__setattr__(self, "kraus", tuple(_frozen(k) for k in ops))
 
@@ -285,12 +284,27 @@ class QuantumChannel:
         return self.kraus[0].shape[0]
 
 
+def density_from_bloch_stack(r) -> np.ndarray:
+    """Validated qubit density matrices (I + r . sigma) / 2, batched.
+
+    ``r`` has shape ``(..., 3)``, and every vector must lie in the closed
+    Bloch ball (length at most ``1 + TOL``); the result is ``(..., 2, 2)``.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.ndim == 0 or r.shape[-1] != 3:
+        raise DimensionMismatch(f"Bloch vectors have 3 components, got shape {r.shape}")
+    length = np.sqrt(np.sum(r * r, axis=-1))
+    i = _first(~(length <= 1.0 + TOL))  # NaN fails too
+    if i is not None:
+        raise BlochOutOfBall(f"Bloch vector length {length.flat[i]:.12g} exceeds 1")
+    x, y, z = (r[..., c, None, None] for c in range(3))
+    return validate_density_stack((np.eye(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0)
+
+
 def density_from_bloch(r) -> DensityMatrix:
-    """Qubit density matrix (I + r . sigma) / 2 for a Bloch-ball vector."""
-    if not isinstance(r, BlochVector):
-        r = BlochVector(*r)
-    m = (np.eye(2) + r.x * PAULI_X + r.y * PAULI_Y + r.z * PAULI_Z) / 2.0
-    return DensityMatrix(m)
+    """Qubit density matrix (I + r . sigma) / 2 for a ``BlochVector`` or three numbers."""
+    v = r.as_array() if isinstance(r, BlochVector) else np.asarray(r, dtype=float)
+    return _validated(density_from_bloch_stack(v[None])[0])
 
 
 def bloch_from_density(rho: DensityMatrix) -> BlochVector:
@@ -305,21 +319,45 @@ def bloch_from_density(rho: DensityMatrix) -> BlochVector:
     )
 
 
+def _outer(a: np.ndarray) -> np.ndarray:
+    """|a><a| / <a|a> for vectors ``(..., d)``; not validated."""
+    m = a[..., :, None] * a.conj()[..., None, :]
+    return m / _trace(m).real[..., None, None]
+
+
+def projector_stack(amplitudes) -> np.ndarray:
+    """Validated rank-1 density matrices |psi><psi|, batched.
+
+    ``amplitudes`` has shape ``(..., d)``, each vector of unit norm within
+    ``TOL``; the result is ``(..., d, d)``.
+    """
+    a = np.asarray(amplitudes, dtype=complex)
+    nrm = np.linalg.norm(a, axis=-1)
+    i = _first(~(np.abs(nrm - 1.0) <= TOL))  # NaN fails too
+    if i is not None:
+        raise InvalidState(f"amplitude vector has norm {nrm.flat[i]:.12g}, expected 1")
+    return validate_density_stack(_outer(a))
+
+
 def projector(psi: PureState) -> DensityMatrix:
-    """Rank-1 density matrix |psi><psi|."""
-    a = psi.amplitudes
-    m = np.outer(a, a.conj())
-    return DensityMatrix(m / np.trace(m).real)
+    """Rank-1 density matrix |psi><psi|; ``PureState`` has checked the norm."""
+    return DensityMatrix(_outer(psi.amplitudes))
+
+
+def apply_channel_stack(channel: QuantumChannel, states) -> np.ndarray:
+    """Validated images sum_k E_k rho E_k^dagger of a validated stack ``(..., d, d)``."""
+    states = np.asarray(states)
+    if states.shape[-1] != channel.dim:
+        raise DimensionMismatch(
+            f"channel dim {channel.dim} does not match state dim {states.shape[-1]}"
+        )
+    out = sum(k @ states @ k.conj().T for k in channel.kraus)
+    return validate_density_stack(_hermitize(out))
 
 
 def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
-    """sum_k E_k rho E_k^dagger."""
-    if channel.dim != rho.dim:
-        raise DimensionMismatch(
-            f"channel dim {channel.dim} does not match state dim {rho.dim}"
-        )
-    out = sum(k @ rho.matrix @ k.conj().T for k in channel.kraus)
-    return DensityMatrix(_hermitize(out))
+    """sum_k E_k rho E_k^dagger; only the image is validated."""
+    return _validated(apply_channel_stack(channel, rho.matrix[None])[0])
 
 
 def phase_damping(lam: float) -> QuantumChannel:

@@ -5,6 +5,11 @@ damping, two pure states with given overlap under the trace norm) plus the
 self-checking worked-example artifacts.  Rows carry both the closed-form
 value and the full matrix-pipeline value so agreement is visible in the
 output itself.
+
+Each sweep builds the states of its whole grid as one stack and scores it
+with one kernel call.  Angles and closed forms stay in scalar ``math``:
+numpy's vectorized ``sin`` and ``cos`` can differ from libm in the last
+bit, and the columns should not depend on how a grid is batched.
 """
 
 from __future__ import annotations
@@ -15,32 +20,33 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import Ensemble, quantumness
+from .ensemble import quantumness_batch
 from .errors import ParamOutOfRange
 from .linalg import NormSpec
 from .measures import (
     ClassicalQuantumState,
-    bell_phi_plus,
-    coherence_l1_pure_qubit,
-    concurrence_pure_two_qubit,
     cq_append_ancilla,
     cq_local_unitary,
     cq_quantumness,
     plus_state,
     pure_pair_quantumness,
+    quantumness_coherence_relation,
+    quantumness_concurrence_relation,
 )
 from .states import (
     DensityMatrix,
     PureState,
-    apply_channel,
-    density_from_bloch,
+    apply_channel_stack,
+    density_from_bloch_stack,
     phase_damping,
     projector,
+    projector_stack,
     random_unitary,
 )
 
 __all__ = [
     "AGREEMENT_TOL",
+    "MAX_GRID_POINTS",
     "bloch_angle_rows",
     "example_artifacts",
     "overlap_rows",
@@ -50,40 +56,64 @@ __all__ = [
 ]
 
 AGREEMENT_TOL = 1e-9
+MAX_GRID_POINTS = 10**6
 
 
 def parse_grid(text: str) -> list[float]:
     """Parse a grid flag: a single value ``v`` or a range ``start:stop:step``.
 
-    The last point is snapped to ``stop`` when float accumulation overshoots
-    it, so ``0:1:0.01`` ends exactly at 1.0.
+    Every number must be finite, and a range may hold at most
+    ``MAX_GRID_POINTS`` points.  The last point is snapped to ``stop`` when
+    float accumulation overshoots it, so ``0:1:0.01`` ends exactly at 1.0.
     """
     parts = text.strip().split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError
-        start, stop, step = (float(x) for x in parts)
+        numbers = [float(x) for x in parts]
     except ValueError:
         raise ParamOutOfRange(
             f"bad grid {text!r}: expected a number or start:stop:step"
         ) from None
+    if not all(map(math.isfinite, numbers)):
+        raise ParamOutOfRange(f"bad grid {text!r}: every number must be finite")
+    if len(numbers) == 1:
+        return numbers
+    start, stop, step = numbers
     if step <= 0.0:
         raise ParamOutOfRange(f"grid step must be positive, got {step}")
     if stop < start:
         raise ParamOutOfRange(f"grid stop {stop} is below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    values = [start + i * step for i in range(count)]
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:  # an infinite span fails too
+        raise ParamOutOfRange(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    values = [start + i * step for i in range(int(math.floor(span)) + 1)]
     if values[-1] > stop:
         values[-1] = stop
     return values
 
 
-def _check_unit(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ParamOutOfRange(f"{name} must lie in [0, 1], got {value}")
-    return value
+def _check_unit(name: str, values) -> None:
+    for value in values:
+        if not 0.0 <= value <= 1.0:
+            raise ParamOutOfRange(f"{name} must lie in [0, 1], got {value}")
+
+
+def _pair_quantumness(first, second, p1s, spec: NormSpec) -> list[float]:
+    """M of {(p1, rho), (1 - p1, sigma)} for every state pair and every p1.
+
+    ``first`` and ``second`` are validated stacks ``(..., 2, 2)`` that
+    broadcast against each other.  Every pair and weight goes into one
+    stack of two-member ensembles and one kernel call; results run over
+    the broadcast pair index in C order, then over ``p1s``.
+    """
+    first, second = np.broadcast_arrays(first, second)
+    shape = (*first.shape[:-2], len(p1s))
+    states = np.empty((*shape, 2, 2, 2), dtype=complex)
+    states[..., 0, :, :] = first[..., None, :, :]
+    states[..., 1, :, :] = second[..., None, :, :]
+    probs = np.broadcast_to([[p1, 1.0 - p1] for p1 in p1s], (*shape, 2))
+    return quantumness_batch(probs.reshape(-1, 2), states.reshape(-1, 2, 2, 2), spec).tolist()
 
 
 def bloch_angle_rows(alphas, r1s, r2s, p1s) -> tuple[list[str], list[list[float]]]:
@@ -93,28 +123,24 @@ def bloch_angle_rows(alphas, r1s, r2s, p1s) -> tuple[list[str], list[list[float]
     product magnitude so it stays exact for degenerate vectors.
     """
     header = ["alpha", "r1", "r2", "p1", "M_formula", "M_matrix"]
-    rows = []
-    spec = NormSpec.frobenius()
-    for r1 in r1s:
-        _check_unit("r1", r1)
-    for r2 in r2s:
-        _check_unit("r2", r2)
-    for p1 in p1s:
-        _check_unit("p1", p1)
-    for alpha in alphas:
-        for r1 in r1s:
-            for r2 in r2s:
-                for p1 in p1s:
-                    p2 = 1.0 - p1
-                    v1 = np.array([0.0, 0.0, r1])
-                    v2 = np.array([r2 * math.sin(alpha), 0.0, r2 * math.cos(alpha)])
-                    formula = math.sqrt(2.0 * p1 * p2) * float(
-                        np.linalg.norm(np.cross(v1, v2))
-                    )
-                    e = Ensemble(
-                        ((p1, density_from_bloch(v1)), (p2, density_from_bloch(v2)))
-                    )
-                    rows.append([alpha, r1, r2, p1, formula, quantumness(e, spec)])
+    _check_unit("r1", r1s)
+    _check_unit("r2", r2s)
+    _check_unit("p1", p1s)
+    v1 = np.array([(0.0, 0.0, r1) for r1 in r1s], dtype=float).reshape(-1, 3)
+    v2 = np.array(
+        [[(r2 * math.sin(a), 0.0, r2 * math.cos(a)) for r2 in r2s] for a in alphas], dtype=float
+    ).reshape(len(alphas), len(r2s), 3)
+    cross = np.linalg.norm(np.cross(v1[None, :, None], v2[:, None, :]), axis=-1)
+    first = density_from_bloch_stack(v1)[None, :, None]
+    second = density_from_bloch_stack(v2)[:, None]
+    m = iter(_pair_quantumness(first, second, p1s, NormSpec.frobenius()))
+    rows = [
+        [alpha, r1, r2, p1, math.sqrt(2.0 * p1 * (1.0 - p1)) * n, next(m)]
+        for alpha, by_r1 in zip(alphas, cross.tolist())
+        for r1, by_r2 in zip(r1s, by_r1)
+        for r2, n in zip(r2s, by_r2)
+        for p1 in p1s
+    ]
     return header, rows
 
 
@@ -124,25 +150,28 @@ def phase_damping_rows(lams, thetas, p1s) -> tuple[list[str], list[list[float]]]
     Closed form sqrt(2 p1 p2) (1 - sqrt(1 - lam)) |sin(theta) cos(theta)|.
     """
     header = ["lambda", "theta", "p1", "M_formula", "M_matrix"]
-    rows = []
-    spec = NormSpec.frobenius()
-    for p1 in p1s:
-        _check_unit("p1", p1)
-    for lam in lams:
-        _check_unit("lambda", lam)
-        channel = phase_damping(lam)
-        for theta in thetas:
-            rho = density_from_bloch((math.sin(theta), 0.0, math.cos(theta)))
-            damped = apply_channel(channel, rho)
-            for p1 in p1s:
-                p2 = 1.0 - p1
-                formula = (
-                    math.sqrt(2.0 * p1 * p2)
-                    * (1.0 - math.sqrt(1.0 - lam))
-                    * abs(math.sin(theta) * math.cos(theta))
-                )
-                e = Ensemble(((p1, rho), (p2, damped)))
-                rows.append([lam, theta, p1, formula, quantumness(e, spec)])
+    _check_unit("p1", p1s)
+    _check_unit("lambda", lams)
+    rho = density_from_bloch_stack(
+        np.array([(math.sin(t), 0.0, math.cos(t)) for t in thetas], dtype=float).reshape(-1, 3)
+    )
+    damped = np.array([apply_channel_stack(phase_damping(lam), rho) for lam in lams])
+    damped = damped.reshape(len(lams), *rho.shape)
+    m = iter(_pair_quantumness(rho[None], damped, p1s, NormSpec.frobenius()))
+    rows = [
+        [
+            lam,
+            theta,
+            p1,
+            math.sqrt(2.0 * p1 * (1.0 - p1))
+            * (1.0 - math.sqrt(1.0 - lam))
+            * abs(math.sin(theta) * math.cos(theta)),
+            next(m),
+        ]
+        for lam in lams
+        for theta in thetas
+        for p1 in p1s
+    ]
     return header, rows
 
 
@@ -153,18 +182,12 @@ def overlap_rows(cs, p1s) -> tuple[list[str], list[list[float]]]:
     p1 = p2 = 1/2) at c = 1/sqrt(2).
     """
     header = ["c", "p1", "M_formula", "M_matrix"]
-    rows = []
-    spec = NormSpec.trace()
-    psi = PureState.basis(2, 0)
-    for p1 in p1s:
-        _check_unit("p1", p1)
-    for c in cs:
-        _check_unit("c", c)
-        phi = PureState(np.array([c, math.sqrt(max(1.0 - c * c, 0.0))]))
-        for p1 in p1s:
-            p2 = 1.0 - p1
-            e = Ensemble(((p1, projector(psi)), (p2, projector(phi))))
-            rows.append([c, p1, pure_pair_quantumness(p1, p2, c), quantumness(e, spec)])
+    _check_unit("p1", p1s)
+    _check_unit("c", cs)
+    amps = np.array([(c, math.sqrt(max(1.0 - c * c, 0.0))) for c in cs], dtype=float)
+    second = projector_stack(amps.reshape(-1, 2))
+    m = iter(_pair_quantumness(projector_stack([1.0, 0.0]), second, p1s, NormSpec.trace()))
+    rows = [[c, p1, pure_pair_quantumness(p1, 1.0 - p1, c), next(m)] for c in cs for p1 in p1s]
     return header, rows
 
 
@@ -197,11 +220,8 @@ def _example_coherence_rows():
     rows = []
     for alpha in [0.0, 0.2, 0.4, 1.0 / math.sqrt(2.0), 0.8, 1.0]:
         beta = math.sqrt(max(1.0 - alpha * alpha, 0.0))
-        psi = PureState(np.array([alpha, beta]))
-        coherence = coherence_l1_pure_qubit(psi)
+        matrix, coherence = quantumness_coherence_relation(PureState(np.array([alpha, beta])))
         formula = abs(alpha * alpha - beta * beta)
-        e = Ensemble(((0.5, projector(psi)), (0.5, projector(plus_state()))))
-        matrix = quantumness(e, NormSpec.trace())
         rows.append([alpha, beta, coherence, formula, matrix, _passfail(formula, matrix)])
     return header, rows
 
@@ -212,13 +232,9 @@ def _example_concurrence_rows():
     for alpha in [0.0, 0.2, 0.4, 1.0 / math.sqrt(2.0), 0.8, 1.0]:
         beta = math.sqrt(max(1.0 - alpha * alpha, 0.0))
         psi = PureState(np.array([alpha, 0.0, 0.0, beta]))
-        concurrence = concurrence_pure_two_qubit(psi)
+        matrix, concurrence = quantumness_concurrence_relation(psi)
         formula = math.sqrt(max(1.0 - concurrence * concurrence, 0.0))
-        e = Ensemble(((0.5, projector(psi)), (0.5, projector(bell_phi_plus()))))
-        matrix = quantumness(e, NormSpec.trace())
-        rows.append(
-            [alpha, beta, concurrence, formula, matrix, _passfail(formula, matrix)]
-        )
+        rows.append([alpha, beta, concurrence, formula, matrix, _passfail(formula, matrix)])
     return header, rows
 
 

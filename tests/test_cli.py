@@ -13,7 +13,7 @@ from ensq.errors import EnsembleFileError, ParamOutOfRange
 from ensq.harness import check_properties
 from ensq.linalg import NormSpec
 from ensq.states import DensityMatrix, random_density_matrix
-from ensq.sweeps import parse_grid
+from ensq.sweeps import MAX_GRID_POINTS, parse_grid
 
 
 def write_json(path, payload):
@@ -117,6 +117,12 @@ def test_parse_grid():
     assert len(parse_grid("0:1:0.01")) == 101
     assert len(parse_grid("0:1:0.001")) == 1001
     for bad in ("1:0:0.1", "0:1:0", "0:1:-0.1", "a:b:c", "1:2"):
+        with pytest.raises(ParamOutOfRange):
+            parse_grid(bad)
+    # Non-finite numbers and grids over MAX_GRID_POINTS fail before any list is built.
+    assert len(parse_grid("0:999999:1")) == MAX_GRID_POINTS
+    for bad in ("nan", "-inf", "0:nan:0.1", "0:1:inf", "0:1000000:1", "0:1:1e-12",
+                "-1e308:1e308:1"):
         with pytest.raises(ParamOutOfRange):
             parse_grid(bad)
 
@@ -242,10 +248,47 @@ def test_cli_sweep_bloch_angle_zero_at_alpha_zero(tmp_path, capsys):
     assert float(first[5]) == 0.0
 
 
+def test_stacked_sweeps_match_one_ensemble_per_row_bit_for_bit():
+    # Each sweep evaluates all its rows in one kernel call; every M_matrix
+    # must equal the single-ensemble value of its row's ensemble.
+    from ensq.states import PureState, apply_channel, density_from_bloch, phase_damping, projector
+    from ensq.sweeps import bloch_angle_rows, overlap_rows, phase_damping_rows
+
+    p1s = [0.0, 0.3, 0.5]
+    _, rows = bloch_angle_rows([0.0, 0.4, 2.0], [0.25, 1.0], [0.5, 0.9], p1s)
+    assert len(rows) == 3 * 2 * 2 * 3
+    for alpha, r1, r2, p1, _, m in rows:
+        e = Ensemble(((p1, density_from_bloch((0.0, 0.0, r1))),
+                      (1.0 - p1, density_from_bloch((r2 * math.sin(alpha), 0.0, r2 * math.cos(alpha))))))
+        assert m == quantumness(e, NormSpec.frobenius())
+    _, rows = phase_damping_rows([0.0, 0.25, 1.0], [0.3, 1.1], p1s)
+    assert len(rows) == 3 * 2 * 3
+    for lam, theta, p1, _, m in rows:
+        rho = density_from_bloch((math.sin(theta), 0.0, math.cos(theta)))
+        e = Ensemble(((p1, rho), (1.0 - p1, apply_channel(phase_damping(lam), rho))))
+        assert m == quantumness(e, NormSpec.frobenius())
+    _, rows = overlap_rows([0.0, 0.6, 1.0], p1s)
+    assert len(rows) == 3 * 3
+    for c, p1, _, m in rows:
+        phi = PureState(np.array([c, math.sqrt(1.0 - c * c)]))
+        e = Ensemble(((p1, projector(PureState.basis(2, 0))), (1.0 - p1, projector(phi))))
+        assert m == quantumness(e, NormSpec.trace())
+
+
 def test_cli_sweep_bad_grid_exits_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    assert main(["sweep", "overlap", "--c", "1:0:0.1", "--out", str(out)]) == 2
-    assert "grid" in capsys.readouterr().err
+    for family, flag, grid in [
+        ("overlap", "--c", "1:0:0.1"),
+        ("overlap", "--c", "0:nan:0.1"),
+        ("overlap", "--c", "0:inf:0.1"),
+        ("overlap", "--c", "0:1:1e-12"),
+        ("bloch-angle", "--alpha", "0:1e300:1e-300"),
+        ("phase-damping", "--theta", "inf"),
+        ("bloch-angle", "--alpha", "inf"),
+    ]:
+        assert main(["sweep", family, flag, grid, "--out", str(out)]) == 2, grid
+        assert "grid" in capsys.readouterr().err, grid
+    assert not out.exists()
 
 
 def test_cli_random_round_trip_and_determinism(tmp_path, capsys):
@@ -278,6 +321,14 @@ def test_cli_random_bad_rank_exits_2(tmp_path, capsys):
     code = main(["random", "--dim", "2", "--members", "2", "--rank", "5", "--out", str(out)])
     assert code == 2
     assert "rank" in capsys.readouterr().err
+
+
+def test_cli_random_bad_members_exits_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    for members in ("0", "-1"):
+        assert main(["random", "--dim", "2", "--members", members, "--out", str(out)]) == 2
+        assert "members" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_check_properties_passes_and_reports(capsys):

@@ -30,7 +30,9 @@ from ensq.errors import (
     WeightSumInvalid,
     ZeroBlockProbability,
 )
+from ensq import ensemble as ensemble_module
 from ensq.linalg import NormSpec
+from ensq.measures import plus_state
 from ensq.states import (
     DensityMatrix,
     PureState,
@@ -75,6 +77,37 @@ def test_ensemble_validation():
         Ensemble(((0.5, rho), (0.5, DensityMatrix(np.eye(3) / 3.0))))
     e = Ensemble(((1.0, np.eye(2) / 2.0),))  # raw arrays get validated and wrapped
     assert isinstance(e.states[0], DensityMatrix)
+
+
+def test_ensemble_stores_only_the_two_arrays(monkeypatch):
+    rng = np.random.default_rng(3)
+    # A state whose validation clamps round-off: validating it again could
+    # move bits, so DensityMatrix members must be kept as they are.
+    w, v = np.linalg.eigh(random_density_matrix(3, 3, rng).matrix)
+    clamped = DensityMatrix((v * [-1e-12, 0.5, 0.5 + 1e-12]) @ v.conj().T)
+    raw = [random_density_matrix(3, 2, rng).matrix.copy() for _ in range(2)]
+    calls = []
+    validate = ensemble_module.validate_density_stack
+    monkeypatch.setattr(
+        ensemble_module, "validate_density_stack", lambda m: calls.append(m.shape) or validate(m)
+    )
+    e = Ensemble(((0.25, raw[0]), (0.5, clamped), (0.25, raw[1])))
+    assert calls == [(2, 3, 3)]  # both raw members in one batch
+    assert e.state_stack[1].tobytes() == clamped.matrix.tobytes()
+    for k in (0, 2):
+        assert e.state_stack[k].tobytes() == DensityMatrix(raw[k // 2]).matrix.tobytes()
+    assert not e.probabilities.flags.writeable and not e.state_stack.flags.writeable
+    assert vars(e).keys() == {"probabilities", "state_stack"}
+    # members, states and iteration are views of the two arrays.
+    assert [p for p, _ in e] == [p for p, _ in e.members] == [0.25, 0.5, 0.25]
+    for s, row in zip(e.states, e.state_stack):
+        assert isinstance(s, DensityMatrix) and np.shares_memory(s.matrix, e.state_stack)
+        assert s.matrix.tobytes() == row.tobytes()
+    same = Ensemble.from_stack(e.probabilities, e.state_stack)
+    assert calls == [(2, 3, 3)]  # from_stack validates no state
+    assert same.state_stack.tobytes() == e.state_stack.tobytes()
+    with pytest.raises(DimensionMismatch):
+        Ensemble.from_stack([0.5, 0.5], e.state_stack)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -393,3 +426,29 @@ def test_batched_kernel_matches_single_ensemble_bit_for_bit(spec):
                 got_classical += is_classical_batch(probs[batch], states[batch]).tolist()
             assert [v.hex() for v in got] == want
             assert got_classical == want_classical
+
+
+def test_large_schatten_p_stays_positive_and_tends_to_spectral():
+    # {|0>, |+>} at 1/2, 1/2: both commutator singular values are 1/2, so
+    # M = 2^(1/p) / 2 under schatten:p.  Unscaled, (1/2)^p underflowed to 0
+    # from p = 2000 on.
+    e = Ensemble(((0.5, projector(PureState.basis(2, 0))), (0.5, projector(plus_state()))))
+    spectral = quantumness(e, NormSpec.spectral())
+    assert spectral == 0.5
+    previous = math.inf
+    for p in (3.0, 10.0, 1e3, 2e3, 1e6, 1e300):
+        m = quantumness(e, NormSpec.schatten(p))
+        assert spectral <= m < previous
+        assert m == pytest.approx(2.0 ** (1.0 / p) / 2.0, rel=1e-14)
+        previous = m
+    # Any ensemble: each pair norm lies between the spectral one and
+    # d^(1/p) times it.
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        e = random_ensemble(4, 3, rng)
+        spectral = quantumness(e, NormSpec.spectral())
+        for p in (1e3, 1e6, 1e12, 1e300):
+            m = quantumness(e, NormSpec.schatten(p))
+            assert spectral <= m <= spectral * 4.0 ** (1.0 / p) * (1.0 + 1e-14)
+    classical = Ensemble(((0.5, np.diag([1.0, 0.0])), (0.5, np.eye(2) / 2.0)))
+    assert quantumness(classical, NormSpec.schatten(1e6)) == 0.0

@@ -54,6 +54,10 @@ def test_pure_pair_quantumness_validation():
         pure_pair_quantumness(-0.1, 1.1, 0.5)
     with pytest.raises(ParamOutOfRange):
         pure_pair_quantumness(0.5, 0.5, 1.5)
+    for bad in [(math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.nan),
+                (math.inf, 0.5, 0.5)]:
+        with pytest.raises(ParamOutOfRange):
+            pure_pair_quantumness(*bad)
     # float slop just outside [0, 1] is accepted and clamped
     assert pure_pair_quantumness(0.5, 0.5, 1.0 + 1e-14) == 0.0
 
@@ -144,6 +148,9 @@ def test_cq_state_validation_and_matrix_layout():
         ClassicalQuantumState((0.5, 0.2), blocks)
     with pytest.raises(ParamOutOfRange):
         ClassicalQuantumState((1.5, -0.5), blocks)
+    for bad in [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.0)]:
+        with pytest.raises(ParamOutOfRange):
+            ClassicalQuantumState(bad, blocks)
     with pytest.raises(DimensionMismatch):
         ClassicalQuantumState((0.5, 0.5), (blocks[0], DensityMatrix(np.eye(3) / 3.0)))
 

@@ -256,3 +256,41 @@ def test_random_unitary_is_unitary_and_seeded():
         u = random_unitary(dim, rng)
         assert np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-12
     assert np.array_equal(random_unitary(3, 5), random_unitary(3, 5))
+
+
+def test_stack_forms_match_scalar_constructors_bit_for_bit():
+    rng = np.random.default_rng(17)
+    r = rng.standard_normal((6, 3))
+    r *= (rng.random(6) / np.linalg.norm(r, axis=1))[:, None]
+    r[0] = [0.0, 0.0, 1.0]
+    stack = states.density_from_bloch_stack(r.reshape(2, 3, 3))
+    assert stack.shape == (2, 3, 2, 2)
+    for k, rho in enumerate(stack.reshape(6, 2, 2)):
+        assert rho.tobytes() == density_from_bloch(r[k]).matrix.tobytes()
+    amps = [random_pure_state(3, rng).amplitudes for _ in range(5)]
+    stack = states.projector_stack(amps)
+    for a, rho in zip(amps, stack):
+        assert rho.tobytes() == projector(PureState(a)).matrix.tobytes()
+    channel = phase_damping(0.3)
+    qubits = states.density_from_bloch_stack(r)
+    damped = states.apply_channel_stack(channel, qubits)
+    for rho, out in zip(qubits, damped):
+        got = apply_channel(channel, DensityMatrix(rho)).matrix
+        assert out.tobytes() == got.tobytes()
+
+
+def test_stack_forms_reject_bad_vectors():
+    with pytest.raises(BlochOutOfBall):
+        states.density_from_bloch_stack([[0.0, 0.0, 0.5], [0.0, 0.8, 0.8]])
+    with pytest.raises(BlochOutOfBall):
+        states.density_from_bloch_stack([[0.0, math.nan, 0.0]])
+    with pytest.raises(DimensionMismatch):
+        states.density_from_bloch_stack([[0.0, 0.0, 0.5, 0.5]])
+    with pytest.raises(DimensionMismatch):
+        states.density_from_bloch((0.0, 0.5))
+    with pytest.raises(InvalidState):
+        states.projector_stack([[1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(InvalidState):
+        states.projector_stack([[math.nan, 0.0]])
+    with pytest.raises(DimensionMismatch):
+        states.apply_channel_stack(phase_damping(0.5), np.eye(3)[None] / 3.0)
