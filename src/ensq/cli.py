@@ -35,30 +35,19 @@ def cmd_compute(args) -> int:
     return 0
 
 
-_SWEEP_BUILDERS = {
-    "bloch-angle": (
-        lambda a: sweeps.bloch_angle_rows(
-            sweeps.parse_grid(a.alpha),
-            sweeps.parse_grid(a.r1),
-            sweeps.parse_grid(a.r2),
-            sweeps.parse_grid(a.p1),
-        )
-    ),
-    "phase-damping": (
-        lambda a: sweeps.phase_damping_rows(
-            sweeps.parse_grid(a.lam),
-            sweeps.parse_grid(a.theta),
-            sweeps.parse_grid(a.p1),
-        )
-    ),
-    "overlap": (
-        lambda a: sweeps.overlap_rows(sweeps.parse_grid(a.c), sweeps.parse_grid(a.p1))
-    ),
+# Sweep family -> (name of its row builder in ``sweeps``, looked up at call
+# time, and its grid flags in the builder's argument order).
+_SWEEPS = {
+    "bloch-angle": ("bloch_angle_rows", ("alpha", "r1", "r2", "p1")),
+    "phase-damping": ("phase_damping_rows", ("lam", "theta", "p1")),
+    "overlap": ("overlap_rows", ("c", "p1")),
 }
 
 
 def cmd_sweep(args) -> int:
-    header, rows = _SWEEP_BUILDERS[args.example](args)
+    builder, flags = _SWEEPS[args.example]
+    grids = [sweeps.parse_grid(getattr(args, flag)) for flag in flags]
+    header, rows = getattr(sweeps, builder)(*grids)
     sweeps.write_csv(args.out, header, rows)
     worst = sweeps.worst_disagreement(rows, len(header) - 2, len(header) - 1)
     print(f"wrote {args.out} ({len(rows)} rows, worst disagreement {worst:.3e})")
@@ -122,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("sweep", help="closed form vs matrix pipeline over a grid")
-    p.add_argument("example", choices=sorted(_SWEEP_BUILDERS))
+    p.add_argument("example", choices=sorted(_SWEEPS))
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--alpha", default="0:3.141592653589793:0.015707963267948967")
     p.add_argument("--r1", default="1")

@@ -170,6 +170,12 @@ def _draw_trial(rng, dim: int, members: int) -> _TrialDraws:
     return _TrialDraws(ensemble, classical, unitary, other, lam, target, partition)
 
 
+def _classicality_fails(m: float, classical: bool, slack: float) -> bool:
+    """A classical ensemble needs ``M <= slack``, a non-classical one ``M > 0``
+    (a tiny weight can put a non-classical M far below ``slack``)."""
+    return m > slack if classical else m <= 0.0
+
+
 def _run_trials(
     dim: int, members: int, spec: NormSpec, seed: int, trials, slack: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +237,7 @@ def _run_trials(
         weights[rows, target].tolist(), m_var.tolist(), m_fine.tolist(), m_coarse.tolist(),
     ):
         v = max(-me, mcl)
-        if cle != (me <= slack):
+        if _classicality_fails(me, cle, slack):
             v = max(v, _BOOL_FAIL)
         if not clc:
             v = max(v, _BOOL_FAIL)

@@ -46,19 +46,23 @@ def bell_phi_plus() -> PureState:
     return PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
 
 
-def pure_pair_quantumness(p1: float, p2: float, c: float) -> float:
+def pure_pair_quantumness(p1, p2, c) -> float | np.ndarray:
     """Trace-norm quantumness of two pure states with overlap magnitude ``c``.
 
     For the ensemble {(p1, |psi><psi|), (p2, |phi><phi|)} with
     c = |<psi|phi>| the trace norm of the commutator is 2 c sqrt(1 - c^2),
     giving 4 c sqrt(p1 p2) sqrt(1 - c^2).  Maximal at c = 1/sqrt(2).
+    Broadcasts over array arguments (each ``(p1, p2)`` is one weight row);
+    scalar arguments give a float.
     """
-    p1, p2, c = float(p1), float(p2), float(c)
-    check_weights([p1, p2], "pure pair probabilities")
-    if not -_OVERLAP_SLOP <= c <= 1.0 + _OVERLAP_SLOP:  # NaN fails too
-        raise ParamOutOfRange(f"overlap magnitude {c!r} outside [0, 1]")
-    c = min(max(c, 0.0), 1.0)
-    return 4.0 * c * math.sqrt(p1 * p2) * math.sqrt(max(1.0 - c * c, 0.0))
+    p1, p2, c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (p1, p2, c)))
+    check_weights(np.stack([p1, p2], axis=-1), "pure pair probabilities")
+    bad = ~((c >= -_OVERLAP_SLOP) & (c <= 1.0 + _OVERLAP_SLOP))  # NaN fails too
+    if bad.any():
+        raise ParamOutOfRange(f"overlap magnitude {float(c[bad][0])!r} outside [0, 1]")
+    c = np.clip(c, 0.0, 1.0)
+    m = 4.0 * c * np.sqrt(p1 * p2) * np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    return m if m.ndim else float(m)
 
 
 def coherence_l1_pure_qubit(psi: PureState) -> float:

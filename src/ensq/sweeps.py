@@ -7,15 +7,19 @@ value and the full matrix-pipeline value so agreement is visible in the
 output itself.
 
 Each sweep builds the states of its whole grid as one stack and scores it
-with one kernel call.  Angles and closed forms stay in scalar ``math``:
-numpy's vectorized ``sin`` and ``cos`` can differ from libm in the last
-bit, and the columns should not depend on how a grid is batched.
+with one kernel call.  Every column is a numpy array over the
+``meshgrid(..., indexing="ij")`` of the sweep's parameters.  Closed forms
+keep the operation order of their scalar expressions (``sqrt``, ``*`` and
+``-`` are correctly rounded, so the bits are the scalar ones), and angles
+stay in libm, once per angle: numpy's vectorized ``sin`` and ``cos`` can
+differ from it in the last bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -93,27 +97,36 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
-def _check_unit(name: str, values) -> None:
-    for value in values:
-        if not 0.0 <= value <= 1.0:
-            raise ParamOutOfRange(f"{name} must lie in [0, 1], got {value}")
+def _unit(name: str, values) -> np.ndarray:
+    """``values`` as a float array; every value must lie in [0, 1] (NaN fails)."""
+    v = np.asarray(values, dtype=float)
+    bad = ~((v >= 0.0) & (v <= 1.0))
+    if bad.any():
+        raise ParamOutOfRange(f"{name} must lie in [0, 1], got {float(v[bad][0])}")
+    return v
 
 
-def _pair_quantumness(first, second, p1s, spec: NormSpec) -> list[float]:
+def _pair_quantumness(first, second, p1, spec: NormSpec) -> np.ndarray:
     """M of {(p1, rho), (1 - p1, sigma)} for every state pair and every p1.
 
     ``first`` and ``second`` are validated stacks ``(..., 2, 2)`` that
     broadcast against each other.  Every pair and weight goes into one
-    stack of two-member ensembles and one kernel call; results run over
-    the broadcast pair index in C order, then over ``p1s``.
+    stack of two-member ensembles and one kernel call; the result has the
+    broadcast pair shape followed by ``len(p1)``.
     """
     first, second = np.broadcast_arrays(first, second)
-    shape = (*first.shape[:-2], len(p1s))
+    shape = (*first.shape[:-2], len(p1))
     states = np.empty((*shape, 2, 2, 2), dtype=complex)
     states[..., 0, :, :] = first[..., None, :, :]
     states[..., 1, :, :] = second[..., None, :, :]
-    probs = np.broadcast_to([[p1, 1.0 - p1] for p1 in p1s], (*shape, 2))
-    return quantumness_batch(probs.reshape(-1, 2), states.reshape(-1, 2, 2, 2), spec).tolist()
+    probs = np.broadcast_to(np.stack([p1, 1.0 - p1], axis=-1), (*shape, 2))
+    m = quantumness_batch(probs.reshape(-1, 2), states.reshape(-1, 2, 2, 2), spec)
+    return m.reshape(shape)
+
+
+def _rows(*columns) -> list[list[float]]:
+    """One row per grid point of the equally shaped columns, in C order."""
+    return np.stack(columns, axis=-1).reshape(-1, len(columns)).tolist()
 
 
 def bloch_angle_rows(alphas, r1s, r2s, p1s) -> tuple[list[str], list[list[float]]]:
@@ -123,25 +136,19 @@ def bloch_angle_rows(alphas, r1s, r2s, p1s) -> tuple[list[str], list[list[float]
     product magnitude so it stays exact for degenerate vectors.
     """
     header = ["alpha", "r1", "r2", "p1", "M_formula", "M_matrix"]
-    _check_unit("r1", r1s)
-    _check_unit("r2", r2s)
-    _check_unit("p1", p1s)
-    v1 = np.array([(0.0, 0.0, r1) for r1 in r1s], dtype=float).reshape(-1, 3)
-    v2 = np.array(
-        [[(r2 * math.sin(a), 0.0, r2 * math.cos(a)) for r2 in r2s] for a in alphas], dtype=float
-    ).reshape(len(alphas), len(r2s), 3)
+    r1, r2, p1 = _unit("r1", r1s), _unit("r2", r2s), _unit("p1", p1s)
+    alpha = np.asarray(alphas, dtype=float)
+    x2 = r2 * np.array([math.sin(a) for a in alpha.tolist()])[:, None]
+    z2 = r2 * np.array([math.cos(a) for a in alpha.tolist()])[:, None]
+    v1 = np.stack([np.zeros_like(r1), np.zeros_like(r1), r1], axis=-1)
+    v2 = np.stack([x2, np.zeros_like(x2), z2], axis=-1)
     cross = np.linalg.norm(np.cross(v1[None, :, None], v2[:, None, :]), axis=-1)
     first = density_from_bloch_stack(v1)[None, :, None]
     second = density_from_bloch_stack(v2)[:, None]
-    m = iter(_pair_quantumness(first, second, p1s, NormSpec.frobenius()))
-    rows = [
-        [alpha, r1, r2, p1, math.sqrt(2.0 * p1 * (1.0 - p1)) * n, next(m)]
-        for alpha, by_r1 in zip(alphas, cross.tolist())
-        for r1, by_r2 in zip(r1s, by_r1)
-        for r2, n in zip(r2s, by_r2)
-        for p1 in p1s
-    ]
-    return header, rows
+    m = _pair_quantumness(first, second, p1, NormSpec.frobenius())
+    a, r1, r2, p1 = np.meshgrid(alpha, r1, r2, p1, indexing="ij")
+    formula = np.sqrt(2.0 * p1 * (1.0 - p1)) * cross[..., None]
+    return header, _rows(a, r1, r2, p1, formula, m)
 
 
 def phase_damping_rows(lams, thetas, p1s) -> tuple[list[str], list[list[float]]]:
@@ -150,29 +157,18 @@ def phase_damping_rows(lams, thetas, p1s) -> tuple[list[str], list[list[float]]]
     Closed form sqrt(2 p1 p2) (1 - sqrt(1 - lam)) |sin(theta) cos(theta)|.
     """
     header = ["lambda", "theta", "p1", "M_formula", "M_matrix"]
-    _check_unit("p1", p1s)
-    _check_unit("lambda", lams)
-    rho = density_from_bloch_stack(
-        np.array([(math.sin(t), 0.0, math.cos(t)) for t in thetas], dtype=float).reshape(-1, 3)
-    )
-    damped = np.array([apply_channel_stack(phase_damping(lam), rho) for lam in lams])
-    damped = damped.reshape(len(lams), *rho.shape)
-    m = iter(_pair_quantumness(rho[None], damped, p1s, NormSpec.frobenius()))
-    rows = [
-        [
-            lam,
-            theta,
-            p1,
-            math.sqrt(2.0 * p1 * (1.0 - p1))
-            * (1.0 - math.sqrt(1.0 - lam))
-            * abs(math.sin(theta) * math.cos(theta)),
-            next(m),
-        ]
-        for lam in lams
-        for theta in thetas
-        for p1 in p1s
-    ]
-    return header, rows
+    p1, lam = _unit("p1", p1s), _unit("lambda", lams)
+    theta = np.asarray(thetas, dtype=float)
+    sin = np.array([math.sin(t) for t in theta.tolist()])
+    cos = np.array([math.cos(t) for t in theta.tolist()])
+    rho = density_from_bloch_stack(np.stack([sin, np.zeros_like(sin), cos], axis=-1))
+    damped = np.array([apply_channel_stack(phase_damping(x), rho) for x in lam.tolist()])
+    damped = damped.reshape(len(lam), *rho.shape)
+    m = _pair_quantumness(rho[None], damped, p1, NormSpec.frobenius())
+    lam, theta, p1 = np.meshgrid(lam, theta, p1, indexing="ij")
+    sincos = np.abs(sin * cos)[:, None]
+    formula = np.sqrt(2.0 * p1 * (1.0 - p1)) * (1.0 - np.sqrt(1.0 - lam)) * sincos
+    return header, _rows(lam, theta, p1, formula, m)
 
 
 def overlap_rows(cs, p1s) -> tuple[list[str], list[list[float]]]:
@@ -182,28 +178,36 @@ def overlap_rows(cs, p1s) -> tuple[list[str], list[list[float]]]:
     p1 = p2 = 1/2) at c = 1/sqrt(2).
     """
     header = ["c", "p1", "M_formula", "M_matrix"]
-    _check_unit("p1", p1s)
-    _check_unit("c", cs)
-    amps = np.array([(c, math.sqrt(max(1.0 - c * c, 0.0))) for c in cs], dtype=float)
-    second = projector_stack(amps.reshape(-1, 2))
-    m = iter(_pair_quantumness(projector_stack([1.0, 0.0]), second, p1s, NormSpec.trace()))
-    rows = [[c, p1, pure_pair_quantumness(p1, 1.0 - p1, c), next(m)] for c in cs for p1 in p1s]
-    return header, rows
+    p1, c = _unit("p1", p1s), _unit("c", cs)
+    amps = np.stack([c, np.sqrt(np.maximum(1.0 - c * c, 0.0))], axis=-1)
+    second = projector_stack(amps)
+    m = _pair_quantumness(projector_stack([1.0, 0.0]), second, p1, NormSpec.trace())
+    c, p1 = np.meshgrid(c, p1, indexing="ij")
+    return header, _rows(c, p1, pure_pair_quantumness(p1, 1.0 - p1, c), m)
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """CSV with '.' decimals, ',' separators, LF line endings, shortest floats."""
+    """CSV with '.' decimals, ',' separators, LF line endings, shortest floats.
+
+    Python floats and strings are written as they are (``csv`` prints a
+    float as its ``repr``), any other int, float or numpy float ``x`` as
+    ``repr(float(x))`` (so ``True`` is ``1.0``), other cells as ``csv`` does.
+    """
+    rows = list(rows)
+    if not set(map(type, chain.from_iterable(rows))) <= {float, str}:
+        rows = [
+            [repr(float(x)) if isinstance(x, (int, float, np.floating)) else x for x in row]
+            for row in rows
+        ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(float(x)) if isinstance(x, (int, float, np.floating)) else x for x in row]
-            )
+        writer.writerows(rows)
 
 
 def worst_disagreement(rows, formula_col: int, matrix_col: int) -> float:
-    return max(abs(r[formula_col] - r[matrix_col]) for r in rows)
+    table = np.asarray(rows, dtype=float)
+    return float(np.max(np.abs(table[:, formula_col] - table[:, matrix_col])))
 
 
 def _passfail(a: float, b: float) -> str:
@@ -215,27 +219,19 @@ def _with_pass(header, rows, formula_col, matrix_col):
     return [*header, "pass"], out
 
 
-def _example_coherence_rows():
-    header = ["alpha", "beta", "C_l1", "M_formula", "M_matrix", "pass"]
-    rows = []
+def _example_relation_rows():
+    """Rows of the coherence and of the concurrence example, at the same alphas."""
+    coherence, concurrence = [], []
     for alpha in [0.0, 0.2, 0.4, 1.0 / math.sqrt(2.0), 0.8, 1.0]:
         beta = math.sqrt(max(1.0 - alpha * alpha, 0.0))
-        matrix, coherence = quantumness_coherence_relation(PureState(np.array([alpha, beta])))
+        matrix, c = quantumness_coherence_relation(PureState(np.array([alpha, beta])))
         formula = abs(alpha * alpha - beta * beta)
-        rows.append([alpha, beta, coherence, formula, matrix, _passfail(formula, matrix)])
-    return header, rows
-
-
-def _example_concurrence_rows():
-    header = ["alpha", "beta", "concurrence", "M_formula", "M_matrix", "pass"]
-    rows = []
-    for alpha in [0.0, 0.2, 0.4, 1.0 / math.sqrt(2.0), 0.8, 1.0]:
-        beta = math.sqrt(max(1.0 - alpha * alpha, 0.0))
+        coherence.append([alpha, beta, c, formula, matrix, _passfail(formula, matrix)])
         psi = PureState(np.array([alpha, 0.0, 0.0, beta]))
-        matrix, concurrence = quantumness_concurrence_relation(psi)
-        formula = math.sqrt(max(1.0 - concurrence * concurrence, 0.0))
-        rows.append([alpha, beta, concurrence, formula, matrix, _passfail(formula, matrix)])
-    return header, rows
+        matrix, c = quantumness_concurrence_relation(psi)
+        formula = math.sqrt(max(1.0 - c * c, 0.0))
+        concurrence.append([alpha, beta, c, formula, matrix, _passfail(formula, matrix)])
+    return coherence, concurrence
 
 
 def _example_cq_rows():
@@ -298,11 +294,11 @@ def example_artifacts(out_dir) -> list[tuple[Path, int]]:
     header, rows = _with_pass(header, rows, 2, 3)
     written.append((out / "example3_pure_overlap.csv", header, rows, 2, 3))
 
-    header, rows = _example_coherence_rows()
-    written.append((out / "example4_coherence.csv", header, rows, 3, 4))
-
-    header, rows = _example_concurrence_rows()
-    written.append((out / "example5_concurrence.csv", header, rows, 3, 4))
+    coherence, concurrence = _example_relation_rows()
+    header = ["alpha", "beta", "C_l1", "M_formula", "M_matrix", "pass"]
+    written.append((out / "example4_coherence.csv", header, coherence, 3, 4))
+    header = ["alpha", "beta", "concurrence", "M_formula", "M_matrix", "pass"]
+    written.append((out / "example5_concurrence.csv", header, concurrence, 3, 4))
 
     header, rows = _example_cq_rows()
     written.append((out / "example6_classical_quantum.csv", header, rows, 1, 2))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensq import io
 from ensq.cli import main
@@ -12,8 +14,16 @@ from ensq.ensemble import Ensemble, quantumness
 from ensq.errors import EnsembleFileError, ParamOutOfRange
 from ensq.harness import check_properties
 from ensq.linalg import NormSpec
+from ensq.measures import pure_pair_quantumness
 from ensq.states import DensityMatrix, random_density_matrix
-from ensq.sweeps import MAX_GRID_POINTS, parse_grid
+from ensq.sweeps import (
+    MAX_GRID_POINTS,
+    bloch_angle_rows,
+    overlap_rows,
+    parse_grid,
+    phase_damping_rows,
+    write_csv,
+)
 
 
 def write_json(path, payload):
@@ -249,30 +259,96 @@ def test_cli_sweep_bloch_angle_zero_at_alpha_zero(tmp_path, capsys):
 
 
 def test_stacked_sweeps_match_one_ensemble_per_row_bit_for_bit():
-    # Each sweep evaluates all its rows in one kernel call; every M_matrix
-    # must equal the single-ensemble value of its row's ensemble.
+    # Each sweep evaluates all its rows in one kernel call and every closed
+    # form as one array expression; every cell must equal its row's grid
+    # value, its scalar closed form and its single-ensemble M exactly.
     from ensq.states import PureState, apply_channel, density_from_bloch, phase_damping, projector
-    from ensq.sweeps import bloch_angle_rows, overlap_rows, phase_damping_rows
 
     p1s = [0.0, 0.3, 0.5]
-    _, rows = bloch_angle_rows([0.0, 0.4, 2.0], [0.25, 1.0], [0.5, 0.9], p1s)
-    assert len(rows) == 3 * 2 * 2 * 3
-    for alpha, r1, r2, p1, _, m in rows:
-        e = Ensemble(((p1, density_from_bloch((0.0, 0.0, r1))),
-                      (1.0 - p1, density_from_bloch((r2 * math.sin(alpha), 0.0, r2 * math.cos(alpha))))))
+    alphas, r1s, r2s = [0.0, 0.4, 2.0], [0.25, 1.0], [0.5, 0.9]
+    _, rows = bloch_angle_rows(alphas, r1s, r2s, p1s)
+    grid = [(a, r1, r2, p1) for a in alphas for r1 in r1s for r2 in r2s for p1 in p1s]
+    assert [tuple(r[:4]) for r in rows] == grid
+    for alpha, r1, r2, p1, formula, m in rows:
+        v2 = (r2 * math.sin(alpha), 0.0, r2 * math.cos(alpha))
+        cross = float(np.linalg.norm(np.cross((0.0, 0.0, r1), v2)))
+        assert formula == math.sqrt(2.0 * p1 * (1.0 - p1)) * cross
+        e = Ensemble(((p1, density_from_bloch((0.0, 0.0, r1))), (1.0 - p1, density_from_bloch(v2))))
         assert m == quantumness(e, NormSpec.frobenius())
-    _, rows = phase_damping_rows([0.0, 0.25, 1.0], [0.3, 1.1], p1s)
-    assert len(rows) == 3 * 2 * 3
-    for lam, theta, p1, _, m in rows:
+    lams, thetas = [0.0, 0.1, 0.25, 0.4, 0.7, 1.0], [0.3, 1.1, 2.5]
+    _, rows = phase_damping_rows(lams, thetas, p1s)
+    assert [tuple(r[:3]) for r in rows] == [(x, t, p) for x in lams for t in thetas for p in p1s]
+    for lam, theta, p1, formula, m in rows:
+        assert formula == (
+            math.sqrt(2.0 * p1 * (1.0 - p1))
+            * (1.0 - math.sqrt(1.0 - lam))
+            * abs(math.sin(theta) * math.cos(theta))
+        )
         rho = density_from_bloch((math.sin(theta), 0.0, math.cos(theta)))
         e = Ensemble(((p1, rho), (1.0 - p1, apply_channel(phase_damping(lam), rho))))
         assert m == quantumness(e, NormSpec.frobenius())
-    _, rows = overlap_rows([0.0, 0.6, 1.0], p1s)
-    assert len(rows) == 3 * 3
-    for c, p1, _, m in rows:
+    cs = [0.0, 0.6, 1.0]
+    _, rows = overlap_rows(cs, p1s)
+    assert [tuple(r[:2]) for r in rows] == [(c, p) for c in cs for p in p1s]
+    for c, p1, formula, m in rows:
+        assert formula == pure_pair_quantumness(p1, 1.0 - p1, c)
         phi = PureState(np.array([c, math.sqrt(1.0 - c * c)]))
         e = Ensemble(((p1, projector(PureState.basis(2, 0))), (1.0 - p1, projector(phi))))
         assert m == quantumness(e, NormSpec.trace())
+
+
+def test_write_csv_converts_every_number_but_python_floats_and_strings(tmp_path):
+    row = [3, True, 0.1, np.float64(0.2), np.float32(0.1), "PASS"]
+    cells = [repr(float(x)) if isinstance(x, (int, float, np.floating)) else x for x in row]
+    assert cells[1] == "1.0" and cells[4] == "0.10000000149011612"
+    path = tmp_path / "row.csv"
+    write_csv(path, ["a", "b", "c", "d", "e", "f"], [row])
+    assert path.read_bytes() == ("a,b,c,d,e,f\n" + ",".join(cells) + "\n").encode()
+    for x, cell in zip(row, cells):  # each cell also on its own
+        write_csv(path, ["a"], [[x]])
+        assert path.read_bytes() == f"a\n{cell}\n".encode(), x
+
+
+_SLOP = 1e-12  # pure_pair_quantumness accepts overlaps this far outside [0, 1]
+_EDGES = [0.0, 1.0, -0.0, 0.5, -1.5, 1.5, math.nan, math.inf, -math.inf,
+          math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0),
+          -_SLOP, 1.0 + _SLOP, math.nextafter(-_SLOP, -1.0), math.nextafter(1.0 + _SLOP, 2.0)]
+_FENCED_CALLS = [
+    # (call with the value in one unit slot, lowest and highest accepted value)
+    (lambda v: bloch_angle_rows([0.3], [v], [0.5], [0.5]), 0.0, 1.0),
+    (lambda v: bloch_angle_rows([0.3], [0.5], [v], [0.5]), 0.0, 1.0),
+    (lambda v: bloch_angle_rows([0.3], [0.5], [0.5], [0.25, v]), 0.0, 1.0),
+    (lambda v: phase_damping_rows([0.5, v], [0.3], [0.5]), 0.0, 1.0),
+    (lambda v: phase_damping_rows([0.5], [0.3], [v]), 0.0, 1.0),
+    (lambda v: overlap_rows([0.2, v], [0.5]), 0.0, 1.0),
+    (lambda v: overlap_rows([0.2], [v, 0.5]), 0.0, 1.0),
+    (lambda v: pure_pair_quantumness(np.array([0.5, v]), 1.0 - np.array([0.5, v]), 0.5), 0.0, 1.0),
+    (lambda v: pure_pair_quantumness(0.5, 0.5, np.array([0.5, v])), -_SLOP, 1.0 + _SLOP),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    value=st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=True, allow_infinity=True)),
+    slot=st.integers(0, len(_FENCED_CALLS) - 1),
+)
+def test_unit_parameters_are_fenced_exactly_at_their_interval(value, slot):
+    call, lo, hi = _FENCED_CALLS[slot]
+    try:
+        call(value)
+    except ParamOutOfRange:
+        assert not lo <= value <= hi, value
+    else:
+        assert lo <= value <= hi, value
+
+
+def test_cli_sweep_out_of_range_parameter_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for flag, value in [("--p1", "1.5"), ("--c", "1.25")]:
+        assert main(["sweep", "overlap", flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "must lie in [0, 1]" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_sweep_bad_grid_exits_2(tmp_path, capsys):

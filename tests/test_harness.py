@@ -4,8 +4,17 @@ import re
 
 import pytest
 
-from ensq.harness import _CHUNK, PROPERTY_NAMES, check_properties, run_single_trial
+from ensq.ensemble import Ensemble, is_classical, quantumness
+from ensq.harness import (
+    _CHUNK,
+    PROPERTY_NAMES,
+    _classicality_fails,
+    check_properties,
+    run_single_trial,
+)
 from ensq.linalg import NormSpec
+from ensq.measures import plus_state
+from ensq.states import PureState, projector
 
 CASES = [
     (2, 2, NormSpec.schatten(3.0)),
@@ -58,3 +67,21 @@ def test_render_fail_lines_replay_their_trials():
         recorded = report.violations[int(trial)][PROPERTY_NAMES.index(name)]
         assert _bits([replayed[name]]) == _bits([recorded])
         assert f"{replayed[name]:.3e}" == printed
+
+
+def test_classicality_verdict_needs_positive_m_only_when_not_classical():
+    assert not _classicality_fails(2e-15, False, 1e-9)
+    assert _classicality_fails(0.0, False, 1e-9)
+    assert _classicality_fails(2e-9, True, 1e-9)
+    assert not _classicality_fails(1e-9, True, 1e-9)
+
+
+def test_tiny_weight_ensemble_is_not_a_classicality_failure():
+    # |0> and |+> do not commute, but a weight of 1e-30 puts M far below
+    # the slack: the verdict must not ask for M > slack here.
+    zero, plus = projector(PureState.basis(2, 0)), projector(plus_state())
+    e = Ensemble(((1.0 - 1e-30, zero), (1e-30, plus)))
+    m = quantumness(e, NormSpec.trace())
+    assert 0.0 < m < 1e-9
+    assert not is_classical(e)
+    assert not _classicality_fails(m, is_classical(e), 1e-9)
