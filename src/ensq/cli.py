@@ -10,6 +10,7 @@ property or agreement violation, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -93,7 +94,13 @@ def cmd_random(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ensq`` parser, built once per process and shared by ``main`` calls.
+
+    Safe to share: each ``parse_args`` returns a fresh namespace, and the
+    one object default, ``NormSpec.trace()``, is frozen.
+    """
     parser = argparse.ArgumentParser(
         prog="ensq",
         description="Commutator-norm quantumness of quantum state ensembles.",

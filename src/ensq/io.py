@@ -14,9 +14,10 @@ The on-disk format is JSON::
 Complex entries are [re, im] pairs.  ``rho`` is a dim x dim density
 matrix, ``psi`` a length-dim amplitude vector (stored as its projector),
 and ``bloch`` a Bloch-ball vector (qubit files only).  Exactly one of the
-three must be present per member.  Loading builds one ``(m, dim, dim)``
-stack from the parsed JSON with one ``np.array`` call and one validated
-stack form per member kind; every diagnostic names the offending member.
+three must be present per member.  Loading makes each member's state an
+array as soon as json has parsed it, drops the file text, then builds one
+``(m, dim, dim)`` stack and one validated stack form per member kind;
+every diagnostic names the offending member.
 """
 
 from __future__ import annotations
@@ -35,6 +36,27 @@ __all__ = ["load_ensemble", "save_ensemble", "ensemble_to_payload"]
 _STATE_KEYS = ("rho", "psi", "bloch")
 # Rejects NaN, infinities and integers too large for a float.
 _MAX_FLOAT = float(np.finfo(float).max)
+# What ``np.array`` makes of JSON lists of floats, ints or bools alone.
+_PARSED_DTYPES = (np.dtype(float), np.dtype(np.int64), np.dtype(bool))
+
+
+def _state_arrays(pairs: list) -> dict:
+    """A JSON object whose state lists are numpy arrays (json's ``object_pairs_hook``).
+
+    Converting each member while it is parsed frees its nested lists at
+    once, instead of holding every member's lists until one ``np.array``
+    call.  Any other value is left as it is, for ``_numbers`` to reject.
+    """
+    obj = dict(pairs)
+    for key in _STATE_KEYS:
+        if isinstance(obj.get(key), list):
+            try:
+                arr = np.array(obj[key])
+            except (ValueError, TypeError):  # ragged nesting
+                continue
+            if arr.dtype in _PARSED_DTYPES:
+                obj[key] = arr
+    return obj
 
 
 def _numbers(values, shape: tuple):
@@ -103,9 +125,10 @@ def load_ensemble(path) -> Ensemble:
     """Load and validate an ensemble file; diagnostics name the offending member."""
     text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_state_arrays)
     except json.JSONDecodeError as exc:
         raise EnsembleFileError(f"{path}: not valid JSON ({exc})") from exc
+    del text  # not held while the stack is built and validated
     if not isinstance(data, dict):
         raise EnsembleFileError(f"{path}: top level must be an object")
     dim = data.get("dim")

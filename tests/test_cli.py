@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensq import io
-from ensq.cli import main
+from ensq.cli import build_parser, main
 from ensq.ensemble import Ensemble, quantumness
 from ensq.errors import EnsembleFileError, ParamOutOfRange
 from ensq.harness import check_properties
 from ensq.linalg import NormSpec
 from ensq.measures import pure_pair_quantumness
-from ensq.states import DensityMatrix, random_density_matrix
+from ensq.states import (
+    DensityMatrix,
+    density_from_bloch_stack,
+    projector_stack,
+    random_density_matrix,
+    validate_density_stack,
+)
 from ensq.sweeps import (
     MAX_GRID_POINTS,
     bloch_angle_rows,
@@ -219,6 +226,284 @@ def test_load_names_member_with_malformed_entries(tmp_path):
         payload = {"dim": 2, "members": [good, good, bad, good]}
         with pytest.raises(EnsembleFileError, match="member 2"):
             io.load_ensemble(write_json(tmp_path / "bad.json", payload))
+
+
+# Raw JSON texts, so that duplicate keys, NaN and Infinity literals and
+# exact big integers reach the loader as written.
+HALF = "[[[0.5,0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]]"  # I/2
+KET0 = "[[[1,0],[0,0]],[[0,0],[0,0]]]"  # |0><0| in ints
+BIG = "1" + "0" * 400  # 10**400
+TWO63 = "9223372036854775808"  # 2**63
+
+
+def ensemble_text(*members, dim=2, extra=""):
+    return '{"dim":%d,"members":[%s]%s}' % (dim, ",".join(members), extra)
+
+
+def member(key, value, p="0.25"):
+    return '{"p":%s,"%s":%s}' % (p, key, value)
+
+
+def rho_with(entry, base="0.0"):
+    """A 2 x 2 rho whose lower-right real part is ``entry``."""
+    return "[[[0.5,%s],[0.0,0.0]],[[0.0,0.0],[%s,0.0]]]" % (base, entry)
+
+
+# Each malformed file with the exception message the loader gave when it
+# built the whole stack from plain json.loads lists ("<path>" is the file).
+MALFORMED_FILES = {
+    "10**400 among floats": (
+        ensemble_text(member("rho", HALF), member("rho", rho_with(BIG)), member("rho", HALF),
+                      member("rho", HALF)),
+        "member 1: rho must be a 2x2 matrix of [re, im] pairs",
+    ),
+    "10**400 among ints": (
+        ensemble_text(member("rho", KET0), member("rho", "[[[1,0],[0,0]],[[0,0],[%s,0]]]" % BIG),
+                      member("rho", KET0), member("rho", KET0)),
+        "member 1: rho must be a 2x2 matrix of [re, im] pairs",
+    ),
+    "2**63 among floats": (
+        ensemble_text(member("rho", HALF), member("rho", rho_with(TWO63)), member("rho", HALF),
+                      member("rho", HALF)),
+        "member 1: density matrix trace 9.22337203685e+18+0j is not 1",
+    ),
+    "2**63 among ints": (
+        ensemble_text(member("rho", KET0), member("rho", "[[[1,0],[0,0]],[[0,0],[%s,0]]]" % TWO63),
+                      member("rho", KET0), member("rho", KET0)),
+        "member 1: density matrix trace 9.22337203685e+18+0j is not 1",
+    ),
+    "2**63 among negative ints": (
+        ensemble_text(member("rho", "[[[1,0],[0,-1]],[[0,1],[0,0]]]"),
+                      member("rho", "[[[1,0],[0,0]],[[0,0],[%s,0]]]" % TWO63),
+                      member("rho", KET0), member("rho", KET0)),
+        "member 0: density matrix has negative eigenvalue -6.180e-01",
+    ),
+    "-2**63 - 1": (
+        ensemble_text(member("rho", KET0),
+                      member("rho", "[[[1,0],[0,0]],[[0,0],[-9223372036854775809,0]]]"),
+                      member("rho", KET0), member("rho", KET0)),
+        "member 1: rho must be a 2x2 matrix of [re, im] pairs",
+    ),
+    "2**64 amplitude": (
+        ensemble_text(member("psi", "[[18446744073709551616,0],[0,0]]", "0.5"),
+                      member("psi", "[[1,0],[0,0]]", "0.5")),
+        "member 0: psi must be 2 [re, im] amplitudes",
+    ),
+    "2**63 bloch": (
+        ensemble_text(member("bloch", "[%s,0,0]" % TWO63, "0.5"),
+                      member("bloch", "[0,0,1]", "0.5")),
+        "member 0: Bloch vector length 9.22337203685e+18 exceeds 1",
+    ),
+    "ragged pair": (
+        ensemble_text(member("rho", HALF),
+                      member("rho", "[[[0.5,0.0],[0.0]],[[0.0,0.0],[0.5,0.0]]]"),
+                      member("rho", HALF), member("rho", HALF)),
+        "member 1: rho must be a 2x2 matrix of [re, im] pairs",
+    ),
+    "ragged rows": (
+        ensemble_text(member("rho", HALF), member("rho", "[[[0.5,0.0],[0.0,0.0]]]"),
+                      member("rho", HALF), member("rho", HALF)),
+        "member 1: rho must be a 2x2 matrix of [re, im] pairs",
+    ),
+    "too deep": (
+        ensemble_text(member("rho", "[[[[0.5]],[0.0]],[[0.0],[0.5,0.0]]]", "1.0")),
+        "member 0: rho must be a 2x2 matrix of [re, im] pairs",
+    ),
+    "empty list": (
+        ensemble_text(member("rho", HALF), member("rho", "[]"), member("rho", HALF),
+                      member("rho", HALF)),
+        "member 1: rho must be a 2x2 matrix of [re, im] pairs",
+    ),
+    "string entry": (
+        ensemble_text(member("rho", HALF), member("rho", HALF), member("rho", rho_with('"0.5"')),
+                      member("rho", HALF)),
+        "member 2: rho must be a 2x2 matrix of [re, im] pairs",
+    ),
+    "string state": (
+        ensemble_text(member("rho", HALF), member("rho", '"abc"'), member("rho", HALF),
+                      member("rho", HALF)),
+        "member 1: rho must be a 2x2 matrix of [re, im] pairs",
+    ),
+    "string list": (
+        ensemble_text(member("bloch", '["a","b","c"]', "0.5"), member("bloch", "[0,0,1]", "0.5")),
+        "member 0: bloch must be [x, y, z]",
+    ),
+    "null entry": (
+        ensemble_text(member("psi", "[[1.0,0.0],[0.0,null]]", "0.5"),
+                      member("psi", "[[1,0],[0,0]]", "0.5")),
+        "member 0: psi must be 2 [re, im] amplitudes",
+    ),
+    "number state": (
+        ensemble_text(member("bloch", "5", "0.5"), member("bloch", "5", "0.5")),
+        "member 0: bloch must be [x, y, z]",
+    ),
+    "object in list": (
+        ensemble_text(member("rho", HALF), member("rho", '[[{"a":1},[0,0]],[[0,0],[0.5,0]]]'),
+                      member("rho", HALF), member("rho", HALF)),
+        "member 1: rho must be a 2x2 matrix of [re, im] pairs",
+    ),
+    "state key inside a state": (
+        ensemble_text(member("rho", HALF), member("rho", '{"rho":%s}' % HALF),
+                      member("rho", HALF), member("rho", HALF)),
+        "member 1: rho must be a 2x2 matrix of [re, im] pairs",
+    ),
+    "state key inside p": (
+        ensemble_text('{"p":{"rho":[1]},"rho":%s}' % HALF),
+        "member 0: p must be a finite nonnegative number",
+    ),
+    "duplicate keys, bad last": (
+        ensemble_text('{"p":0.5,"rho":"bad","rho":%s}' % HALF,
+                      '{"p":0.5,"bloch":[0,0,1],"bloch":[0,0,7]}'),
+        "member 1: Bloch vector length 7 exceeds 1",
+    ),
+    "NaN rho": (
+        ensemble_text(member("bloch", "[1,0,0]", "0.5"), member("rho", rho_with("NaN"), "0.5")),
+        "member 1: density matrix has a non-finite entry",
+    ),
+    "Infinity rho": (
+        ensemble_text(member("bloch", "[1,0,0]", "0.5"),
+                      member("rho", "[[[Infinity,0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]]", "0.5")),
+        "member 1: density matrix has a non-finite entry",
+    ),
+    "-Infinity psi": (
+        ensemble_text(member("psi", "[[1,0],[0,0]]", "0.5"),
+                      member("psi", "[[1.0,0.0],[0.0,-Infinity]]", "0.5")),
+        "member 1: amplitude vector has norm inf, expected 1",
+    ),
+    "NaN bloch": (
+        ensemble_text(member("bloch", "[1,0,0]", "0.5"), member("bloch", "[NaN,0,0]", "0.5")),
+        "member 1: Bloch vector length nan exceeds 1",
+    ),
+    "NaN p": (
+        ensemble_text(member("bloch", "[1,0,0]", "0.5"), member("bloch", "[0,0,1]", "NaN")),
+        "member 1: p must be a finite nonnegative number",
+    ),
+    "weights off": (
+        ensemble_text(member("bloch", "[0,0,1]", "0.5"), member("bloch", "[0,0,-1]", "0.6")),
+        "<path>: ensemble probabilities: weights sum to 1.1, expected 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_load_diagnostics_are_the_plain_parse_ones(tmp_path, name):
+    text, message = MALFORMED_FILES[name]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(EnsembleFileError) as exc:
+        io.load_ensemble(path)
+    assert type(exc.value) is EnsembleFileError
+    assert str(exc.value) == message.replace("<path>", str(path))
+
+
+def plain_parse_stack(text):
+    """Probabilities and validated states from plain json.loads lists and np.array."""
+    data = json.loads(text)
+    members = data["members"]
+    stack = np.empty((len(members), data["dim"], data["dim"]), dtype=complex)
+    for key, make in (
+        ("rho", validate_density_stack),
+        ("psi", projector_stack),
+        ("bloch", density_from_bloch_stack),
+    ):
+        idx = [i for i, m in enumerate(members) if key in m]
+        if idx:
+            values = np.array([members[i][key] for i in idx]).astype(float)
+            stack[idx] = make(values if key == "bloch" else values.view(complex)[..., 0])
+    return np.array([float(m["p"]) for m in members]), stack
+
+
+def random_rho_text(rng, members, dim, rank):
+    states = [random_density_matrix(dim, rank, rng).matrix for _ in range(members)]
+    p = rng.random(members) + 0.5
+    rows = [
+        {"p": float(q), "rho": np.stack([s.real, s.imag], axis=-1).tolist()}
+        for q, s in zip(p / p.sum(), states)
+    ]
+    return json.dumps({"dim": dim, "members": rows})
+
+
+VALID_FILES = {
+    "mixed kinds": ensemble_text(
+        member("rho", "[[[0.5,0.0],[0.0,-0.5]],[[0.0,0.5],[0.5,0.0]]]"),
+        member("psi", "[[1.0,0.0],[0.0,0.0]]"),
+        member("bloch", "[0.0,0.0,1.0]", "0.5"),
+    ),
+    "bool entries": ensemble_text(
+        member("rho", HALF), member("rho", "[[[true,false],[false,false]],[[false,false],"
+                                   "[false,false]]]"),
+        member("rho", "[[[true,0.0],[false,0.0]],[[0.0,0.0],[0.0,0.0]]]"),
+        member("bloch", "[false,false,true]"),
+    ),
+    "int-only and mixed members": ensemble_text(
+        member("rho", KET0), member("rho", "[[[0.5,0],[0,0.0]],[[0,0],[0.5,0]]]"),
+        member("psi", "[[0,0],[1,0]]"), member("psi", "[[1,0],[0,0.0]]"),
+    ),
+    "int-only kinds": ensemble_text(
+        member("rho", KET0, "0.5"), member("psi", "[[0,0],[1,0]]", "0.5"),
+    ),
+    "state keys in unrelated objects": ensemble_text(
+        member("rho", HALF, "0.5"),
+        '{"p":0.5,"rho":%s,"meta":{"rho":"x","psi":[1,2]}}' % HALF,
+        extra=',"note":{"rho":[[1]],"bloch":[1,2,3]}',
+    ),
+    "state keys at the top level": '{"rho":%s,"dim":2,"members":[%s]}' % (
+        HALF, member("rho", HALF, "1.0")),
+    "duplicate keys, good last": ensemble_text(
+        '{"p":0.5,"rho":[[1]],"rho":%s}' % HALF, '{"p":0.5,"bloch":[0,0,7],"bloch":[0,0,1]}',
+    ),
+    "clamped eigenvalue": ensemble_text(
+        member("rho", "[[[1.00000000000005,0.0],[0.0,0.0]],[[0.0,0.0],[-5e-14,0.0]]]", "1.0"),
+    ),
+    "random rank 1": random_rho_text(np.random.default_rng(81), 12, 6, 1),
+    "random full rank": random_rho_text(np.random.default_rng(82), 12, 6, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_FILES))
+def test_loaded_stack_is_the_plain_parse_stack_bit_for_bit(tmp_path, name):
+    text = VALID_FILES[name]
+    path = tmp_path / "ok.json"
+    path.write_text(text)
+    e = io.load_ensemble(path)
+    probs, stack = plain_parse_stack(text)
+    assert e.probabilities.tobytes() == probs.tobytes()
+    assert e.state_stack.dtype == stack.dtype and e.state_stack.shape == stack.shape
+    assert e.state_stack.tobytes() == stack.tobytes()
+
+
+def test_load_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
+    # The parent's loader held every member's nested lists at once: a
+    # 5.4-6.7x peak.  Arrays built per member during the parse stay near 2-3x.
+    path = tmp_path / "big.json"
+    path.write_text(random_rho_text(np.random.default_rng(83), 40, 32, 1))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        io.load_ensemble(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * size, f"peak {peak / size:.2f}x the {size}-byte file"
+
+
+def test_cli_parser_is_shared_and_keeps_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    path = example3_file(tmp_path, c=0.6)
+    assert main(["compute", path, "--norm", "spectral"]) == 0
+    assert main(["compute", path]) == 0
+    assert capsys.readouterr().out.split() == ["0.480000000000", "0.960000000000"]
+
+
+def test_cli_bad_grid_leaves_the_next_sweep_unaffected(tmp_path, capsys):
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert main(["sweep", "overlap", "--c", "0:1:0.25", "--out", str(first)]) == 0
+    assert main(["sweep", "overlap", "--c", "1:0:0.1", "--out", str(again)]) == 2
+    assert not again.exists()
+    assert main(["sweep", "overlap", "--out", str(again)]) == 0
+    assert "1001 rows" in capsys.readouterr().out
+    assert main(["sweep", "overlap", "--c", "0:1:0.25", "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_cli_bad_norm_is_usage_error(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensq.ensemble import (
     Ensemble,
@@ -31,7 +33,7 @@ from ensq.errors import (
     ZeroBlockProbability,
 )
 from ensq import ensemble as ensemble_module
-from ensq.linalg import NormSpec
+from ensq.linalg import TOL, NormSpec
 from ensq.measures import plus_state
 from ensq.states import (
     DensityMatrix,
@@ -117,6 +119,68 @@ def test_non_finite_weights_rejected(bad):
         check_weights([[0.5, 0.5], [bad, 1.0]], "weights")
     with pytest.raises(ParamOutOfRange, match="non-finite"):
         Ensemble(((bad, rho), (1.0, rho)))
+
+
+def check_weights_by_fsum(weights, what):
+    """Reference check_weights: every row summed with its own math.fsum."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape[-1] == 0:
+        raise ParamOutOfRange(f"{what}: need at least one weight")
+    w = w.reshape(-1, w.shape[-1])
+    odd = w[~np.isfinite(w)]
+    if odd.size:
+        raise ParamOutOfRange(f"{what}: non-finite weight {float(odd[0])!r}")
+    neg = w[w < 0.0]
+    if neg.size:
+        raise ParamOutOfRange(f"{what}: negative weight {float(neg[0])!r}")
+    for total in map(math.fsum, w.tolist()):
+        if abs(total - 1.0) > TOL:
+            raise WeightSumInvalid(f"{what}: weights sum to {total!r}, expected 1")
+
+
+def weights_outcome(check, weights):
+    try:
+        check(weights, "w")
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return None
+
+
+# Finite nonnegative extremes (a row of two 1e308 overflows fsum), then
+# the values the checks before the sum reject.
+EXTREME_WEIGHTS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-17, 0.5, 1.0, 1e300,
+                   1.7976931348623157e308]
+REJECTED_WEIGHTS = [math.nan, math.inf, -math.inf, -5e-324, -0.5]
+
+
+@st.composite
+def weight_row(draw, width):
+    kind = draw(st.sampled_from(["near one", "near one", "extreme", "rejected"]))
+    if kind == "near one":
+        # Sums at 1, 1 +- TOL / 2 (the screen's edge) and 1 +- TOL (the
+        # check's edge), each moved by a few ulps.
+        target = 1.0 + draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])) * TOL
+        target += draw(st.integers(-4, 4)) * math.ulp(1.0)
+        head = [x / width for x in draw(st.lists(st.floats(0.0, 1.0), min_size=width - 1,
+                                                 max_size=width - 1))]
+        return draw(st.permutations([*head, target - math.fsum(head)]))
+    values = st.sampled_from(EXTREME_WEIGHTS) | st.floats(0.0, 1.0)
+    row = draw(st.lists(values, min_size=width, max_size=width))
+    if kind == "rejected":
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(REJECTED_WEIGHTS))
+    return row
+
+
+@st.composite
+def weight_rows(draw):
+    width = draw(st.integers(1, 64))
+    return draw(st.lists(weight_row(width), min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(weight_rows())
+def test_check_weights_screen_agrees_with_a_fsum_per_row(rows):
+    assert weights_outcome(check_weights, rows) == weights_outcome(check_weights_by_fsum, rows)
 
 
 def test_quantumness_of_classical_ensemble_is_exactly_zero():
