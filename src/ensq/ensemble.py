@@ -114,41 +114,52 @@ def _member_stack(members) -> tuple[np.ndarray, np.ndarray]:
 class Ensemble:
     """An ordered collection of (probability, density matrix) members.
 
-    Stored as two read-only arrays and nothing else: ``probabilities``
-    ``(m,)`` and ``state_stack`` ``(m, d, d)``; ``members``, ``states`` and
-    iteration are derived from them.  Probabilities must be nonnegative
-    and sum to one within ``TOL``; members with zero probability are kept
-    (they contribute nothing to the quantumness) and duplicates are not
-    merged.  Raw arrays are accepted in place of ``DensityMatrix`` and
-    validated together in one batch.
+    Stored as two read-only arrays, ``probabilities`` ``(m,)`` and
+    ``state_stack`` ``(m, d, d)``, and optional per-member ``factors``;
+    ``members``, ``states`` and iteration are derived from the arrays.
+    Probabilities must be nonnegative and sum to one within ``TOL``;
+    members with zero probability are kept (they contribute nothing to the
+    quantumness) and duplicates are not merged.  Raw arrays are accepted in
+    place of ``DensityMatrix`` and validated together in one batch.
+
+    ``factors`` are the members' low-rank factors (``_factors_from_eigh``:
+    ranks, shifted eigenvalues, vectors), read-only, handed over by a
+    source that has already eigendecomposed the members, so that
+    ``quantumness`` runs no member ``eigh`` of its own.  Only
+    ``io.load_ensemble`` supplies them (for d >= 8); every other
+    constructor and transform leaves them None.
     """
 
     probabilities: np.ndarray
     state_stack: np.ndarray = field(repr=False)
+    factors: tuple | None = field(default=None, repr=False)
 
     def __init__(self, members) -> None:
         self.__post_init__(*_member_stack(members))
 
-    def __post_init__(self, probabilities, states) -> None:
+    def __post_init__(self, probabilities, states, factors=None) -> None:
         """Both constructors end here: check the weights and the stack shape,
-        then store the two arrays read-only."""
+        then store the arrays read-only."""
         probs = np.array(probabilities, dtype=float)
         check_weights(probs, "ensemble probabilities")
         if states.ndim != 3 or states.shape[:1] != probs.shape:
             raise DimensionMismatch(
                 f"{probs.shape[0]} probabilities for a state stack of shape {states.shape}"
             )
-        probs.setflags(write=False)
-        states.setflags(write=False)
+        for arr in (probs, states, *(factors or ())):
+            arr.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "state_stack", states)
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
-    def from_stack(cls, probabilities, states) -> "Ensemble":
+    def from_stack(cls, probabilities, states, factors=None) -> "Ensemble":
         """Ensemble over ``states`` ``(m, d, d)`` already passed by
-        ``validate_density_stack``; only the probabilities are checked."""
+        ``validate_density_stack``; only the probabilities are checked.
+        ``factors``, if given, must be ``_factors_from_eigh`` of the
+        eigenpairs of ``states``."""
         ensemble = object.__new__(cls)
-        ensemble.__post_init__(probabilities, np.array(states, dtype=complex))
+        ensemble.__post_init__(probabilities, np.array(states, dtype=complex), factors)
         return ensemble
 
     @property
@@ -184,15 +195,9 @@ class Ensemble:
 
 
 def _low_rank_factors(states: np.ndarray, live: np.ndarray):
-    """Eigenpairs of each live member for the low-rank route; None when d < 8.
+    """``_factors_from_eigh`` of each live member; None when d < 8.
 
-    Each member is shifted by mu, its most repeated eigenvalue, where
-    eigenvalues within d * eps * max|lambda| of each other (numpy's
-    ``matrix_rank`` tolerance) count as equal.  Its rank r is the number
-    of eigenvalues outside that cluster.  Returns the ranks ``(N,)`` and,
-    outside-cluster pairs first, the shifted eigenvalues ``(N, d//4)`` and
-    eigenvectors ``(N, d, d//4)``; only a member's first r columns are
-    used, and members where ``live`` is False are left at zero.
+    Members where ``live`` is False are left at rank 0 and zero factors.
     """
     n, d = states.shape[0], states.shape[-1]
     if d < LOW_RANK_MIN_DIM:
@@ -201,18 +206,34 @@ def _low_rank_factors(states: np.ndarray, live: np.ndarray):
         w, v = np.linalg.eigh(states[live])
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    ranks = np.zeros(n, dtype=int)
+    shifted = np.zeros((n, d // 4))
+    vecs = np.zeros((n, d, d // 4), dtype=complex)
+    ranks[live], shifted[live], vecs[live] = _factors_from_eigh(w, v)
+    return ranks, shifted, vecs
+
+
+def _factors_from_eigh(w: np.ndarray, v: np.ndarray):
+    """Low-rank factors of members with eigenpairs ``w`` ``(N, d)``, ``v`` ``(N, d, d)``.
+
+    Each member is shifted by mu, its most repeated eigenvalue, where
+    eigenvalues within d * eps * max|lambda| of each other (numpy's
+    ``matrix_rank`` tolerance) count as equal.  Its rank r is the number
+    of eigenvalues outside that cluster.  Returns the ranks ``(N,)`` and,
+    outside-cluster pairs first, the shifted eigenvalues ``(N, d//4)`` and
+    eigenvectors ``(N, d, d//4)``; only a member's first r columns are used.
+    """
+    d = w.shape[-1]
     tol = (d * np.finfo(float).eps) * np.abs(w).max(axis=-1, keepdims=True)
     near = np.abs(w[:, :, None] - w[:, None, :]) <= tol[:, :, None]
     mu = np.take_along_axis(w, near.sum(axis=-1).argmax(axis=-1)[:, None], axis=-1)
     outside = np.abs(w - mu) > tol
     order = np.argsort(~outside, axis=-1, kind="stable")[:, : d // 4]
-    ranks = np.zeros(n, dtype=int)
-    shifted = np.zeros((n, d // 4))
-    vecs = np.zeros((n, d, d // 4), dtype=complex)
-    ranks[live] = outside.sum(axis=-1)
-    shifted[live] = np.take_along_axis(w - mu, order, axis=-1)
-    vecs[live] = np.take_along_axis(v, order[:, None, :], axis=-1)
-    return ranks, shifted, vecs
+    return (
+        outside.sum(axis=-1),
+        np.take_along_axis(w - mu, order, axis=-1),
+        np.take_along_axis(v, order[:, None, :], axis=-1),
+    )
 
 
 def _low_rank_singular_values(lam_a, vec_a, lam_b, vec_b) -> np.ndarray:
@@ -234,7 +255,8 @@ def _pair_singular_values(states: np.ndarray, i, j, factors) -> np.ndarray:
     """Singular values ``(n, d)``, nonincreasing, of [states[i], states[j]].
 
     ``i`` and ``j`` index the stack ``states`` ``(N, d, d)``, and
-    ``factors`` is ``_low_rank_factors`` of it.  A pair of ranks r_i, r_j
+    ``factors`` holds its members' low-rank factors (``_factors_from_eigh``),
+    or is None when d < 8.  A pair of ranks r_i, r_j
     takes the low-rank route when 4 (r_i + r_j) <= d, and is zero when
     either rank is 0 (a multiple of the identity commutes with everything).
     Every other pair takes the dense route: the full d x d commutator and
@@ -290,8 +312,13 @@ def _pair_blocks(count: int, d: int):
     return [slice(s, s + step) for s in range(0, count, step)]
 
 
-def quantumness_batch(probs, states, spec: NormSpec) -> np.ndarray:
-    """Quantumness of each ensemble in a stack; see :func:`quantumness`."""
+def quantumness_batch(probs, states, spec: NormSpec, factors=None) -> np.ndarray:
+    """Quantumness of each ensemble in a stack; see :func:`quantumness`.
+
+    ``factors`` are the low-rank factors of the batch-flattened members,
+    as ``Ensemble.factors`` holds them; when None (always below d = 8)
+    they come from one ``eigh`` per live member at d >= 8.
+    """
     probs = np.asarray(probs, dtype=float)
     states = np.asarray(states)
     owner, i, j, counts = _live_pairs(probs)
@@ -302,7 +329,8 @@ def quantumness_batch(probs, states, spec: NormSpec) -> np.ndarray:
     flat_probs = probs.ravel()
     weights = 2.0 * np.sqrt(flat_probs[i] * flat_probs[j])
     members = states.reshape(-1, d, d)
-    factors = _low_rank_factors(members, flat_probs > 0.0)
+    if factors is None:
+        factors = _low_rank_factors(members, flat_probs > 0.0)
     norms = np.empty(len(owner))
     for blk in _pair_blocks(len(owner), d):
         sv = _pair_singular_values(members, i[blk], j[blk], factors)
@@ -427,7 +455,9 @@ def quantumness(ensemble: Ensemble, spec: NormSpec) -> float:
     order; pairs involving a zero-probability member are skipped.
     """
     return float(
-        quantumness_batch(ensemble.probabilities[None], ensemble.state_stack[None], spec)[0]
+        quantumness_batch(
+            ensemble.probabilities[None], ensemble.state_stack[None], spec, ensemble.factors
+        )[0]
     )
 
 

@@ -15,21 +15,37 @@ Complex entries are [re, im] pairs.  ``rho`` is a dim x dim density
 matrix, ``psi`` a length-dim amplitude vector (stored as its projector),
 and ``bloch`` a Bloch-ball vector (qubit files only).  Exactly one of the
 three must be present per member.  Loading makes each member's state an
-array as soon as json has parsed it, drops the file text, then builds one
+array as soon as json has parsed it (with the cyclic GC paused, since the
+parse makes no reference cycles), drops the file text, then builds one
 ``(m, dim, dim)`` stack and one validated stack form per member kind;
 every diagnostic names the offending member.
+
+Eigensolves: below d = 8, validation runs one ``eigvalsh`` per member
+(``validate_density_stack``) and one ``eigh`` per clamped member.  From
+d = 8 on, ``rho`` and ``psi`` members are validated from one ``eigh`` each
+(``states._validate_density_eigh``), whose eigenpairs become the
+``Ensemble``'s low-rank factors; ``quantumness`` of the loaded ensemble
+then runs no member eigensolve of its own, only the dense-route pairs'
+commutator ``eigvalsh``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .ensemble import Ensemble
+from .ensemble import LOW_RANK_MIN_DIM, Ensemble, _factors_from_eigh
 from .errors import EnsembleFileError, EnsqError
-from .states import density_from_bloch_stack, projector_stack, validate_density_stack
+from .states import (
+    _unit_outer,
+    _validate_density_eigh,
+    density_from_bloch_stack,
+    projector_stack,
+    validate_density_stack,
+)
 
 __all__ = ["load_ensemble", "save_ensemble", "ensemble_to_payload"]
 
@@ -98,36 +114,63 @@ def _member_states(idx: list, make, values) -> np.ndarray:
         raise
 
 
-def _validated_states(members: list, kinds: dict, dim: int) -> np.ndarray:
-    """Validated ``(m, dim, dim)`` stack of every member's state."""
+def _unfactored(validate):
+    """``validate`` returning its stack and no factors."""
+    return lambda values: (validate(values), None)
+
+
+def _factored(stack) -> tuple:
+    """``_validate_density_eigh`` of ``stack`` and the low-rank factors of its eigenpairs."""
+    states, w, v = _validate_density_eigh(stack)
+    return states, _factors_from_eigh(w, v)
+
+
+def _validated_states(members: list, kinds: dict, dim: int) -> tuple:
+    """Validated ``(m, dim, dim)`` stack of every member's state, and its
+    low-rank factors (None below ``LOW_RANK_MIN_DIM``)."""
+    factored = dim >= LOW_RANK_MIN_DIM
     parts = []
     idx = kinds["rho"]
     if idx:
         what = f"a {dim}x{dim} matrix of [re, im] pairs"
         rho = _complex(_kind_stack(members, idx, "rho", (dim, dim, 2), what))
-        parts.append((idx, _member_states(idx, validate_density_stack, rho)))
+        make = _factored if factored else _unfactored(validate_density_stack)
+        parts.append((idx, *_member_states(idx, make, rho)))
     idx = kinds["psi"]
     if idx:
         amps = _complex(_kind_stack(members, idx, "psi", (dim, 2), f"{dim} [re, im] amplitudes"))
-        parts.append((idx, _member_states(idx, projector_stack, amps)))
-    idx = kinds["bloch"]
+        make = (lambda a: _factored(_unit_outer(a))) if factored else _unfactored(projector_stack)
+        parts.append((idx, *_member_states(idx, make, amps)))
+    idx = kinds["bloch"]  # dim 2 only, so never factored
     if idx:
         r = _kind_stack(members, idx, "bloch", (3,), "[x, y, z]")
-        parts.append((idx, _member_states(idx, density_from_bloch_stack, r)))
+        parts.append((idx, *_member_states(idx, _unfactored(density_from_bloch_stack), r)))
     # Allocated last, so that it is not held while a kind is validated.
     stack = np.empty((len(members), dim, dim), dtype=complex)
-    for idx, states in parts:
+    for idx, states, _ in parts:
         stack[idx] = states
-    return stack
+    if not factored:
+        return stack, None
+    ranks = np.empty(len(members), dtype=int)
+    shifted = np.empty((len(members), dim // 4))
+    vecs = np.empty((len(members), dim, dim // 4), dtype=complex)
+    for idx, _, (r, lam, vec) in parts:
+        ranks[idx], shifted[idx], vecs[idx] = r, lam, vec
+    return stack, (ranks, shifted, vecs)
 
 
 def load_ensemble(path) -> Ensemble:
     """Load and validate an ensemble file; diagnostics name the offending member."""
     text = Path(path).read_text()
+    collecting = gc.isenabled()
+    gc.disable()  # the parse makes no cycles, yet its allocations trigger collections
     try:
         data = json.loads(text, object_pairs_hook=_state_arrays)
     except json.JSONDecodeError as exc:
         raise EnsembleFileError(f"{path}: not valid JSON ({exc})") from exc
+    finally:
+        if collecting:
+            gc.enable()
     del text  # not held while the stack is built and validated
     if not isinstance(data, dict):
         raise EnsembleFileError(f"{path}: top level must be an object")
@@ -155,9 +198,9 @@ def load_ensemble(path) -> Ensemble:
             raise EnsembleFileError(f"{where}: bloch members need dim 2, file has dim {dim}")
         probs.append(float(p))
         kinds[present[0]].append(idx)
-    states = _validated_states(members, kinds, dim)
+    states, factors = _validated_states(members, kinds, dim)
     try:
-        return Ensemble.from_stack(probs, states)
+        return Ensemble.from_stack(probs, states, factors)
     except EnsqError as exc:
         raise EnsembleFileError(f"{path}: {exc}") from exc
 

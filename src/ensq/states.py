@@ -70,7 +70,9 @@ def _trace(m: np.ndarray) -> np.ndarray:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + _adjoint(m)) / 2.0
+    h = m + _adjoint(m)
+    h /= 2.0
+    return h
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -86,15 +88,9 @@ def _first(bad: np.ndarray):
     return int(hits[0]) if hits.size else None
 
 
-def validate_density_stack(stack) -> np.ndarray:
-    """Validate a stack ``(..., d, d)`` of density matrices in one batch.
-
-    Every matrix gets the ``DensityMatrix`` checks (finite entries,
-    Hermitian and unit trace within ``TOL``, no eigenvalue below ``-TOL``)
-    and the same repair: eigenvalues in ``[-TOL, 0)`` are clamped to zero
-    and the matrix is renormalized.  The first offending matrix names the
-    error.  Returns a read-only copy.
-    """
+def _checked_copy(stack) -> np.ndarray:
+    """A writable complex copy of ``stack`` after the checks that need no
+    eigenvalues: shape, finite entries, Hermiticity and trace."""
     m = np.array(stack, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {m.shape}")
@@ -111,17 +107,69 @@ def validate_density_stack(stack) -> np.ndarray:
     i = _first(np.abs(tr - 1.0) > TOL)
     if i is not None:
         raise InvalidState(f"density matrix trace {complex(tr.flat[i]):.12g} is not 1")
-    lo = np.linalg.eigvalsh(m)[..., 0]
+    return m
+
+
+def _check_lowest(lo: np.ndarray) -> np.ndarray:
+    """Reject a lowest eigenvalue below ``-TOL``; True where one must be clamped."""
     i = _first(lo < -TOL)
     if i is not None:
         raise InvalidState(f"density matrix has negative eigenvalue {lo.flat[i]:.3e}")
-    clamp = lo < 0.0
+    return lo < 0.0
+
+
+def _clamped(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The repaired matrices of eigenpairs ``(w, v)`` and their eigenvalues:
+    negatives clamped to zero, then renormalized to unit trace."""
+    w = np.clip(w, 0.0, None)
+    fixed = (v * w[..., None, :]) @ _adjoint(v)
+    tr = _trace(fixed).real
+    fixed /= tr[..., None, None]
+    return _hermitize(fixed), w / tr[..., None]
+
+
+def validate_density_stack(stack) -> np.ndarray:
+    """Validate a stack ``(..., d, d)`` of density matrices in one batch.
+
+    Every matrix gets the ``DensityMatrix`` checks (finite entries,
+    Hermitian and unit trace within ``TOL``, no eigenvalue below ``-TOL``)
+    and the same repair: eigenvalues in ``[-TOL, 0)`` are clamped to zero
+    and the matrix is renormalized.  The first offending matrix names the
+    error.  Returns a read-only copy.
+
+    Eigensolves: one ``eigvalsh`` per matrix, plus one ``eigh`` per matrix
+    that is clamped.  ``io.load_ensemble`` validates its ``rho`` and ``psi``
+    members at d >= 8 through ``_validate_density_eigh`` instead, which
+    runs the same checks from one ``eigh`` per matrix.
+    """
+    m = _checked_copy(stack)
+    clamp = _check_lowest(np.linalg.eigvalsh(m)[..., 0])
     if clamp.any():
-        w, v = np.linalg.eigh(m[clamp])
-        fixed = (v * np.clip(w, 0.0, None)[..., None, :]) @ _adjoint(v)
-        m[clamp] = _hermitize(fixed / _trace(fixed).real[..., None, None])
+        m[clamp] = _clamped(*np.linalg.eigh(m[clamp]))[0]
     m.setflags(write=False)
     return m
+
+
+def _validate_density_eigh(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``validate_density_stack`` from one ``eigh`` per matrix, with its eigenpairs.
+
+    Returns the validated read-only stack and eigenpairs ``(w, v)`` of it:
+    ``eigh`` of each input matrix, with the clamped eigenvalues (renormalized)
+    for the matrices that were repaired.  The checks and messages are those
+    of ``validate_density_stack``, and so is the stored stack, since numpy
+    runs ``eigh`` matrix by matrix.  The lowest eigenvalue is read from
+    ``eigh`` rather than ``eigvalsh``; the two LAPACK drivers agree to
+    round-off, so they can differ only on whether an eigenvalue within
+    round-off of zero is negative, and so on whether such a matrix is
+    clamped (which moves it by round-off).
+    """
+    m = _checked_copy(stack)
+    w, v = np.linalg.eigh(m)
+    clamp = _check_lowest(w[..., 0])
+    if clamp.any():
+        m[clamp], w[clamp] = _clamped(w[clamp], v[clamp])
+    m.setflags(write=False)
+    return m, w, v
 
 
 def eigenprojectors(states) -> tuple[np.ndarray, np.ndarray]:
@@ -331,12 +379,19 @@ def projector_stack(amplitudes) -> np.ndarray:
     ``amplitudes`` has shape ``(..., d)``, each vector of unit norm within
     ``TOL``; the result is ``(..., d, d)``.
     """
+    return validate_density_stack(_unit_outer(amplitudes))
+
+
+def _unit_outer(amplitudes) -> np.ndarray:
+    """|psi><psi| of vectors ``(..., d)``, each of unit norm within ``TOL``; not validated."""
     a = np.asarray(amplitudes, dtype=complex)
-    nrm = np.linalg.norm(a, axis=-1)
+    # An infinite amplitude makes the norm inf (or NaN): rejected below, silently.
+    with np.errstate(invalid="ignore", over="ignore"):
+        nrm = np.linalg.norm(a, axis=-1)
     i = _first(~(np.abs(nrm - 1.0) <= TOL))  # NaN fails too
     if i is not None:
         raise InvalidState(f"amplitude vector has norm {nrm.flat[i]:.12g}, expected 1")
-    return validate_density_stack(_outer(a))
+    return _outer(a)
 
 
 def projector(psi: PureState) -> DensityMatrix:

@@ -1,8 +1,12 @@
 """File format, grids, CLI subcommands, exit codes, and report determinism."""
 
+import gc
+import itertools
 import json
 import math
 import tracemalloc
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,14 +15,15 @@ from hypothesis import strategies as st
 
 from ensq import io
 from ensq.cli import build_parser, main
-from ensq.ensemble import Ensemble, quantumness
-from ensq.errors import EnsembleFileError, ParamOutOfRange
+from ensq.ensemble import Ensemble, quantumness, quantumness_batch
+from ensq.errors import EnsembleFileError, EnsqError, ParamOutOfRange
 from ensq.harness import check_properties
 from ensq.linalg import NormSpec
 from ensq.measures import pure_pair_quantumness
 from ensq.states import (
     DensityMatrix,
     density_from_bloch_stack,
+    _unit_outer,
     projector_stack,
     random_density_matrix,
     validate_density_stack,
@@ -31,6 +36,8 @@ from ensq.sweeps import (
     phase_damping_rows,
     write_csv,
 )
+
+from _oracles import naive_quantumness
 
 
 def write_json(path, payload):
@@ -485,6 +492,218 @@ def test_load_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * size, f"peak {peak / size:.2f}x the {size}-byte file"
+
+
+def broken_d8_member(kind, rng):
+    """A d = 8 member failing one validator check, and the matrix or vector it holds."""
+    if kind == "psi-norm":
+        a = unit_vectors(rng, 1, 8)[0] * (1.0 + 2e-10)
+        return psi_member(0.25, a), a
+    m = random_density_matrix(8, 8, rng).matrix.copy()
+    if kind == "nan":
+        m[3, 5] = math.nan
+    elif kind == "hermiticity":
+        m[3, 5] += 2e-10
+    elif kind == "trace":
+        m[2, 2] += 2e-10
+    else:
+        w, v = np.linalg.eigh(m)
+        m = (v * [-2e-10, *w[1:] + 2e-10 / 7]) @ v.conj().T
+    return rho_member(0.25, m), m
+
+
+@pytest.mark.parametrize("kind", ["nan", "hermiticity", "trace", "negative", "psi-norm"])
+def test_d8_diagnostics_are_those_of_the_stack_validators(tmp_path, kind):
+    rng = np.random.default_rng(98)
+    good = [rho_member(0.25, random_density_matrix(8, r, rng).matrix) for r in (1, 8, 3)]
+    bad, values = broken_d8_member(kind, rng)
+    path = write_json(tmp_path / "bad.json", {"dim": 8, "members": [*good[:2], bad, good[2]]})
+    make = projector_stack if kind == "psi-norm" else validate_density_stack
+    with pytest.raises(EnsqError) as want:
+        make(values[None])
+    with pytest.raises(EnsembleFileError) as exc:
+        io.load_ensemble(path)
+    assert str(exc.value) == f"member 2: {want.value}"
+
+
+INFINITE_AMPLITUDE = (
+    '{"dim":2,"members":[{"p":0.5,"psi":[[1,0],[0,0]]},'
+    '{"p":0.5,"psi":[[1.0,0.0],[0.0,-Infinity]]}]}'
+)
+
+
+def test_cli_compute_infinite_amplitude_exits_2_without_a_warning(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text(INFINITE_AMPLITUDE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compute", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: member 1: amplitude vector has norm inf, expected 1\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_load_pauses_the_cyclic_gc_only_while_parsing(tmp_path, monkeypatch, enabled):
+    seen = []
+    loads = io.json.loads
+    monkeypatch.setattr(
+        io.json, "loads", lambda *args, **kwargs: seen.append(gc.isenabled()) or loads(*args, **kwargs)
+    )
+    good, bad = tmp_path / "ok.json", tmp_path / "bad.json"
+    good.write_text(VALID_FILES["mixed kinds"])
+    bad.write_text("{not json")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        io.load_ensemble(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(EnsembleFileError, match="not valid JSON"):
+            io.load_ensemble(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+
+
+def rho_member(p, state):
+    return {"p": float(p), "rho": np.stack([state.real, state.imag], axis=-1).tolist()}
+
+
+def psi_member(p, amplitudes):
+    return {"p": float(p), "psi": np.stack([amplitudes.real, amplitudes.imag], axis=-1).tolist()}
+
+
+def unit_vectors(rng, count, dim):
+    z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def ranked_file(rng, dim, ranks, pure):
+    """Text of a file with one ``rho`` member per rank and ``pure`` ``psi`` members."""
+    rho = [random_density_matrix(dim, r, rng).matrix for r in ranks]
+    amps = unit_vectors(rng, pure, dim)
+    p = rng.random(len(rho) + pure) + 0.5
+    p /= p.sum()
+    members = [rho_member(q, s) for q, s in zip(p, rho)]
+    members += [psi_member(q, a) for q, a in zip(p[len(rho):], amps)]
+    return json.dumps({"dim": dim, "members": members})
+
+
+def unvalidated_states(text):
+    """Each member's matrix before validation: rho as written, psi's projector."""
+    out = []
+    for m in json.loads(text)["members"]:
+        key = "rho" if "rho" in m else "psi"
+        values = np.array(m[key], dtype=float).view(complex)[..., 0]
+        out.append(values if key == "rho" else _unit_outer(values))
+    return np.array(out)
+
+
+def count_eigensolves(monkeypatch):
+    """Counts of the matrices that np.linalg.eigh and eigvalsh decompose, keyed
+    by solver, "member" (unit trace) or "pair" (a traceless commutator), and size."""
+    counts = Counter()
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            a = np.asarray(a)
+            tr = np.trace(a, axis1=-2, axis2=-1).real.ravel()
+            members = int(np.count_nonzero(np.abs(tr - 1.0) <= 1e-6))
+            counts[_name, "member", a.shape[-1]] += members
+            counts[_name, "pair", a.shape[-1]] += tr.size - members
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_load_and_compute_eigendecompose_each_member_once_from_d_8(tmp_path, monkeypatch):
+    rng = np.random.default_rng(95)
+    dim = 16
+    text = ranked_file(rng, dim, [1, 1, 3, 3, 3, dim, dim, dim], pure=3)
+    path = tmp_path / "d16.json"
+    path.write_text(text)
+    counts = count_eigensolves(monkeypatch)
+    e = io.load_ensemble(path)
+    quantumness(e, NormSpec.trace())
+    # Kept-eigenvalue ranks: a full-rank state has no repeated eigenvalue.
+    ranks = [1, 1, 3, 3, 3, dim - 1, dim - 1, dim - 1, 1, 1, 1]
+    assert e.factors[0].tolist() == ranks
+    # Each pair's commutator: d x d on the dense route, k x k on the low-rank one.
+    pairs = Counter(
+        ("eigvalsh", "pair", dim if 4 * (a + b) > dim else a + b)
+        for a, b in itertools.combinations(ranks, 2)
+    )
+    assert +counts == {("eigh", "member", dim): len(ranks), **pairs}
+
+
+def test_load_and_compute_below_d_8_keep_their_eigensolves(tmp_path, monkeypatch):
+    rng = np.random.default_rng(96)
+    text = ranked_file(rng, 4, [1, 1, 2, 2, 4, 4], pure=2)
+    path = tmp_path / "d4.json"
+    path.write_text(text)
+    raw = unvalidated_states(text)
+    clamped = int(np.count_nonzero(np.linalg.eigvalsh(raw)[:, 0] < 0.0))
+    assert clamped > 0
+    counts = count_eigensolves(monkeypatch)
+    e = io.load_ensemble(path)
+    quantumness(e, NormSpec.trace())
+    assert e.factors is None
+    m = len(raw)
+    assert +counts == {
+        ("eigh", "member", 4): clamped,
+        ("eigvalsh", "member", 4): m,
+        ("eigvalsh", "pair", 4): m * (m - 1) // 2,
+    }
+
+
+def corpus_text(rng, name):
+    """Files at d >= 8 like the benchmark's, ``ensq random``'s and mixed kinds."""
+    if name.startswith(("pure", "depolarized")):
+        v = unit_vectors(rng, 10, 24)
+        states = v[:, :, None] * v.conj()[:, None, :]
+        if name.startswith("depolarized"):
+            states = 0.5 / 24 * np.eye(24) + 0.5 * states
+        p = rng.random(10) + 0.5
+        members = [rho_member(q, s) for q, s in zip(p / p.sum(), states)]
+        return json.dumps({"dim": 24, "members": members})
+    if name.startswith("random"):
+        dim, rank = map(int, name.split()[1:])
+        return random_rho_text(rng, 8, dim, rank)
+    if name == "psi":
+        return ranked_file(rng, 16, [], pure=8)
+    return ranked_file(rng, 16, [1, 3, 16, 1, 3], pure=3)
+
+
+CORPUS = ["pure", "depolarized", "random 9 1", "random 9 3", "random 9 9", "random 16 1",
+          "random 16 3", "random 16 16", "psi", "kinds"]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_eigh_loaded_ensembles_match_the_plain_parse_and_the_oracle(tmp_path, name):
+    text = corpus_text(np.random.default_rng([97, CORPUS.index(name)]), name)
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    e = io.load_ensemble(path)
+    assert e.factors is not None
+    probs, stack = plain_parse_stack(text)
+    assert e.state_stack.tobytes() == stack.tobytes()
+    assert e.probabilities.tobytes() == probs.tobytes()
+    # A clamped member's factors come from the eigenpairs of the loader's
+    # repair, not from eigh of the repaired matrix: equal up to round-off.
+    clamped = [a.tobytes() != b.tobytes() for a, b in zip(stack, unvalidated_states(text))]
+    for spec in (NormSpec.trace(), NormSpec.frobenius(), NormSpec.spectral(),
+                 NormSpec.schatten(3.0), NormSpec.kyfan(2)):
+        got = quantumness(e, spec)
+        fresh = quantumness_batch(e.probabilities[None], e.state_stack[None], spec)[0]
+        if any(clamped):
+            assert got == pytest.approx(fresh, rel=1e-14, abs=0.0)
+        else:
+            assert got == fresh
+        want = naive_quantumness(list(zip(probs.tolist(), stack)), spec)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+        assert fresh == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_cli_parser_is_shared_and_keeps_no_state(tmp_path, capsys):

@@ -99,7 +99,9 @@ def test_ensemble_stores_only_the_two_arrays(monkeypatch):
     for k in (0, 2):
         assert e.state_stack[k].tobytes() == DensityMatrix(raw[k // 2]).matrix.tobytes()
     assert not e.probabilities.flags.writeable and not e.state_stack.flags.writeable
-    assert vars(e).keys() == {"probabilities", "state_stack"}
+    # The optional factors are handed over only by the loader (d >= 8).
+    assert vars(e).keys() == {"probabilities", "state_stack", "factors"}
+    assert e.factors is None
     # members, states and iteration are views of the two arrays.
     assert [p for p, _ in e] == [p for p, _ in e.members] == [0.25, 0.5, 0.25]
     for s, row in zip(e.states, e.state_stack):

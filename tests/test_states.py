@@ -1,9 +1,12 @@
 """States, channels, Bloch geometry, and random generation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensq import states
 from ensq.errors import (
@@ -28,6 +31,7 @@ from ensq.states import (
     random_unitary,
     schmidt_coefficients,
 )
+from ensq.linalg import TOL
 
 
 def test_density_matrix_accepts_valid_and_freezes():
@@ -294,3 +298,81 @@ def test_stack_forms_reject_bad_vectors():
         states.projector_stack([[math.nan, 0.0]])
     with pytest.raises(DimensionMismatch):
         states.apply_channel_stack(phase_damping(0.5), np.eye(3)[None] / 3.0)
+
+
+def test_infinite_amplitude_is_rejected_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([1.0, -math.inf], [math.inf, 1j * math.inf], [math.nan, 0.0]):
+            with pytest.raises(InvalidState, match="amplitude vector has norm"):
+                states.projector_stack([[1.0, 0.0], bad])
+
+
+def spectral_state(rng, dim, lowest=None):
+    """U diag(w) U^+ with Haar U, unit-trace w in [0.5, 1.5] / dim and w[0] = lowest."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u, _ = np.linalg.qr(z)
+    w = rng.random(dim) + 0.5
+    w /= w.sum()
+    if lowest is not None:
+        w[0] = lowest
+        w[1:] *= (1.0 - lowest) / w[1:].sum()
+    return (u * w) @ u.conj().T
+
+
+# One defect per case, 0.1 % either side of its bound; "clamped" puts the
+# lowest eigenvalue in [-TOL, 0) (or just above 0), far outside round-off.
+EDGE = [0.999, 1.001]
+DEFECTS = {
+    "non-finite": st.sampled_from([math.nan, math.inf, -math.inf]),
+    "hermiticity": st.sampled_from(EDGE),
+    "trace": st.sampled_from([-1.001, -0.999, 0.999, 1.001]),
+    "lowest": st.sampled_from(EDGE),
+    "clamped": st.one_of(st.floats(0.001, 0.999), st.just(-0.001)),
+}
+
+
+@st.composite
+def edge_stacks(draw):
+    dim = draw(st.sampled_from([8, 9, 16]))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, n - 1))
+    case = draw(st.sampled_from(sorted(DEFECTS)))
+    x = draw(DEFECTS[case])
+    i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.stack([spectral_state(rng, dim) for _ in range(n)])
+    if case == "non-finite":
+        stack[k, i, j] = complex(x, 0.0) if draw(st.booleans()) else complex(0.0, x)
+    elif case == "hermiticity":
+        stack[k, i, (i + 1 + j % (dim - 1)) % dim] += TOL * x
+    elif case == "trace":
+        stack[k, i, i] += TOL * x
+    else:
+        stack[k] = spectral_state(rng, dim, lowest=-TOL * x)
+    return stack
+
+
+def outcome(validate, stack):
+    try:
+        return validate(stack), None
+    except InvalidState as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_stacks())
+def test_eigh_validation_accepts_and_rejects_as_validate_density_stack(stack):
+    want, want_error = outcome(states.validate_density_stack, stack)
+    got, got_error = outcome(states._validate_density_eigh, stack)
+    assert got_error == want_error
+    if want is None:
+        return
+    m, w, v = got
+    assert not m.flags.writeable
+    assert m.tobytes() == want.tobytes()
+    # (w, v) are eigenpairs of the stored matrices (of their lower triangle,
+    # which is all that eigh reads), clamped ones included.
+    defect = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max()
+    assert np.abs((v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2) - m).max() <= 1e-14 + defect
+    assert w.min() >= 0.0
