@@ -217,14 +217,14 @@ def _factors_from_eigh(w: np.ndarray, v: np.ndarray):
     """Low-rank factors of members with eigenpairs ``w`` ``(N, d)``, ``v`` ``(N, d, d)``.
 
     Each member is shifted by mu, its most repeated eigenvalue, where
-    eigenvalues within d * eps * max|lambda| of each other (numpy's
-    ``matrix_rank`` tolerance) count as equal.  Its rank r is the number
-    of eigenvalues outside that cluster.  Returns the ranks ``(N,)`` and,
-    outside-cluster pairs first, the shifted eigenvalues ``(N, d//4)`` and
-    eigenvectors ``(N, d, d//4)``; only a member's first r columns are used.
+    eigenvalues within ``linalg.roundoff_tol`` of each other count as
+    equal.  Its rank r is the number of eigenvalues outside that cluster.
+    Returns the ranks ``(N,)`` and, outside-cluster pairs first, the
+    shifted eigenvalues ``(N, d//4)`` and eigenvectors ``(N, d, d//4)``;
+    only a member's first r columns are used.
     """
     d = w.shape[-1]
-    tol = (d * np.finfo(float).eps) * np.abs(w).max(axis=-1, keepdims=True)
+    tol = linalg.roundoff_tol(w)[:, None]
     near = np.abs(w[:, :, None] - w[:, None, :]) <= tol[:, :, None]
     mu = np.take_along_axis(w, near.sum(axis=-1).argmax(axis=-1)[:, None], axis=-1)
     outside = np.abs(w - mu) > tol

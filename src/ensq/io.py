@@ -21,7 +21,9 @@ parse makes no reference cycles), drops the file text, then builds one
 every diagnostic names the offending member.
 
 Eigensolves: below d = 8, validation runs one ``eigvalsh`` per member
-(``validate_density_stack``) and one ``eigh`` per clamped member.  From
+(``validate_density_stack``) and one ``eigh`` per clamped member, that is
+per member whose lowest eigenvalue lies below ``-linalg.roundoff_tol``;
+a member negative only within round-off is stored as written.  From
 d = 8 on, ``rho`` and ``psi`` members are validated from one ``eigh`` each
 (``states._validate_density_eigh``), whose eigenpairs become the
 ``Ensemble``'s low-rank factors; ``quantumness`` of the loaded ensemble

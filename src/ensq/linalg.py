@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidNormSpec, NoConvergence, NotHermitian
+from .errors import (
+    DimensionMismatch,
+    InvalidNormSpec,
+    NoConvergence,
+    NotHermitian,
+    ParamOutOfRange,
+)
 
 __all__ = [
     "TOL",
@@ -24,6 +30,7 @@ __all__ = [
     "hermitian_eigenvalues",
     "norm",
     "norm_from_singular_values",
+    "roundoff_tol",
     "singular_values",
 ]
 
@@ -32,6 +39,18 @@ __all__ = [
 # completeness, mixture recombination, unitarity defects and Bloch lengths
 # may each miss their exact value by at most this much.
 TOL = 1e-10
+
+
+def roundoff_tol(w: np.ndarray) -> np.ndarray:
+    """Round-off size ``d * eps * max|lambda|`` of eigenvalue rows ``w`` ``(..., d)``.
+
+    numpy's ``matrix_rank`` tolerance: eigenvalues of one matrix that lie
+    this close together, or this close to zero, are equal to working
+    precision.  The validator clamps only eigenvalues below minus this
+    size, and the low-rank factors cluster eigenvalues within it.
+    """
+    return (w.shape[-1] * np.finfo(float).eps) * np.abs(w).max(axis=-1)
+
 
 # Commutators of Hermitian matrices are anti-Hermitian up to round-off; this
 # threshold decides when the cheap eigenvalue route for singular values applies.
@@ -46,6 +65,18 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _finite_matrix(a) -> np.ndarray:
+    """``as_matrix(a)``, rejecting NaN and infinite entries before any arithmetic.
+
+    Not part of ``as_matrix``: ``DensityMatrix`` goes through that and names
+    a non-finite entry as an ``InvalidState`` of its own.
+    """
+    m = as_matrix(a)
+    if not np.isfinite(m).all():
+        raise ParamOutOfRange("matrix has a non-finite entry")
+    return m
+
+
 def commutator(a, b) -> np.ndarray:
     """AB - BA.  Anti-Hermitian (up to round-off) when A and B are Hermitian."""
     a, b = as_matrix(a), as_matrix(b)
@@ -56,7 +87,7 @@ def commutator(a, b) -> np.ndarray:
 
 def hermitian_eigenvalues(a, tol: float = TOL) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted nonincreasing."""
-    m = as_matrix(a)
+    m = _finite_matrix(a)
     defect = float(np.abs(m - m.conj().T).max())
     if defect > tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}")
@@ -88,7 +119,7 @@ def gram_singular_values(a) -> np.ndarray:
     This is the general route; tiny negative eigenvalues produced by
     round-off are clamped to zero before the square root.
     """
-    m = as_matrix(a)
+    m = _finite_matrix(a)
     g = m.conj().T @ m
     g = (g + g.conj().T) / 2.0
     try:
@@ -104,9 +135,11 @@ def singular_values(a) -> np.ndarray:
     Anti-Hermitian input (the common case here: commutators of Hermitian
     matrices) is detected and goes through
     :func:`antihermitian_singular_values`; everything else goes through
-    the Gram matrix A^dagger A.
+    the Gram matrix A^dagger A.  NaN and infinite entries are rejected
+    with ``ParamOutOfRange``, here and in :func:`hermitian_eigenvalues`,
+    :func:`gram_singular_values` and :func:`norm`.
     """
-    m = as_matrix(a)
+    m = _finite_matrix(a)
     scale = float(np.abs(m).max())
     if float(np.abs(m + m.conj().T).max()) <= _ANTIHERMITIAN_TOL * (1.0 + scale):
         return antihermitian_singular_values(m).copy()

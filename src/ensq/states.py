@@ -110,12 +110,15 @@ def _checked_copy(stack) -> np.ndarray:
     return m
 
 
-def _check_lowest(lo: np.ndarray) -> np.ndarray:
-    """Reject a lowest eigenvalue below ``-TOL``; True where one must be clamped."""
+def _check_lowest(w: np.ndarray) -> np.ndarray:
+    """Reject a lowest eigenvalue below ``-TOL`` in ascending rows ``w``
+    ``(..., d)``; True where one lies below ``-linalg.roundoff_tol`` and
+    must be clamped.  A negative within round-off is left as it is."""
+    lo = w[..., 0]
     i = _first(lo < -TOL)
     if i is not None:
         raise InvalidState(f"density matrix has negative eigenvalue {lo.flat[i]:.3e}")
-    return lo < 0.0
+    return lo < -linalg.roundoff_tol(w)
 
 
 def _clamped(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,17 +136,23 @@ def validate_density_stack(stack) -> np.ndarray:
 
     Every matrix gets the ``DensityMatrix`` checks (finite entries,
     Hermitian and unit trace within ``TOL``, no eigenvalue below ``-TOL``)
-    and the same repair: eigenvalues in ``[-TOL, 0)`` are clamped to zero
-    and the matrix is renormalized.  The first offending matrix names the
-    error.  Returns a read-only copy.
+    and the same repair: a matrix whose lowest eigenvalue lies in
+    ``[-TOL, -rho)``, with ``rho = linalg.roundoff_tol`` of its spectrum
+    (``d * eps * max|lambda|``), has its negative eigenvalues clamped to
+    zero and is renormalized.  One whose lowest eigenvalue lies in
+    ``[-rho, 0)`` is stored as given: the repair could not move it by more
+    than round-off.  The first offending matrix names the error.  Returns
+    a read-only copy.
 
     Eigensolves: one ``eigvalsh`` per matrix, plus one ``eigh`` per matrix
-    that is clamped.  ``io.load_ensemble`` validates its ``rho`` and ``psi``
+    that is clamped; rank-deficient states (projectors, low-rank Ginibre
+    states) whose zero eigenvalues come out at about ``-1e-16`` take no
+    ``eigh``.  ``io.load_ensemble`` validates its ``rho`` and ``psi``
     members at d >= 8 through ``_validate_density_eigh`` instead, which
     runs the same checks from one ``eigh`` per matrix.
     """
     m = _checked_copy(stack)
-    clamp = _check_lowest(np.linalg.eigvalsh(m)[..., 0])
+    clamp = _check_lowest(np.linalg.eigvalsh(m))
     if clamp.any():
         m[clamp] = _clamped(*np.linalg.eigh(m[clamp]))[0]
     m.setflags(write=False)
@@ -155,17 +164,18 @@ def _validate_density_eigh(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns the validated read-only stack and eigenpairs ``(w, v)`` of it:
     ``eigh`` of each input matrix, with the clamped eigenvalues (renormalized)
-    for the matrices that were repaired.  The checks and messages are those
-    of ``validate_density_stack``, and so is the stored stack, since numpy
-    runs ``eigh`` matrix by matrix.  The lowest eigenvalue is read from
-    ``eigh`` rather than ``eigvalsh``; the two LAPACK drivers agree to
-    round-off, so they can differ only on whether an eigenvalue within
-    round-off of zero is negative, and so on whether such a matrix is
-    clamped (which moves it by round-off).
+    for the matrices that were repaired.  The checks, messages and clamp
+    rule (lowest eigenvalue below ``-linalg.roundoff_tol``) are those of
+    ``validate_density_stack``, and so is the stored stack, since numpy
+    runs ``eigh`` matrix by matrix.  A matrix kept as given keeps its
+    ``eigh`` eigenvalues, round-off negatives included.  The lowest
+    eigenvalue is read from ``eigh`` rather than ``eigvalsh``; the two
+    LAPACK drivers agree to round-off, so they can differ on whether to
+    clamp only for a lowest eigenvalue within round-off of ``-rho``.
     """
     m = _checked_copy(stack)
     w, v = np.linalg.eigh(m)
-    clamp = _check_lowest(w[..., 0])
+    clamp = _check_lowest(w)
     if clamp.any():
         m[clamp], w[clamp] = _clamped(w[clamp], v[clamp])
     m.setflags(write=False)
@@ -215,9 +225,11 @@ def haar_unitaries(gauss) -> np.ndarray:
 class DensityMatrix:
     """A validated density matrix (Hermitian, unit trace, positive).
 
-    Eigenvalues in ``[-TOL, 0)`` are treated as round-off: they are
-    clamped to zero and the matrix is renormalized.  Anything more negative
-    is rejected.
+    A lowest eigenvalue in ``[-rho, 0)``, with ``rho = d * eps *
+    max|lambda|`` (``linalg.roundoff_tol``), is round-off and is kept as
+    given.  One in ``[-TOL, -rho)`` is clamped to zero, with any other
+    negative eigenvalue, and the matrix is renormalized.  Anything more
+    negative is rejected.
     """
 
     matrix: np.ndarray

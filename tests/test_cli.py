@@ -18,7 +18,7 @@ from ensq.cli import build_parser, main
 from ensq.ensemble import Ensemble, quantumness, quantumness_batch
 from ensq.errors import EnsembleFileError, EnsqError, ParamOutOfRange
 from ensq.harness import check_properties
-from ensq.linalg import NormSpec
+from ensq.linalg import NormSpec, roundoff_tol
 from ensq.measures import pure_pair_quantumness
 from ensq.states import (
     DensityMatrix,
@@ -26,6 +26,7 @@ from ensq.states import (
     _unit_outer,
     projector_stack,
     random_density_matrix,
+    random_unitary,
     validate_density_stack,
 )
 from ensq.sweeps import (
@@ -640,11 +641,21 @@ def test_load_and_compute_eigendecompose_each_member_once_from_d_8(tmp_path, mon
 
 def test_load_and_compute_below_d_8_keep_their_eigensolves(tmp_path, monkeypatch):
     rng = np.random.default_rng(96)
-    text = ranked_file(rng, 4, [1, 1, 2, 2, 4, 4], pure=2)
+    payload = json.loads(ranked_file(rng, 4, [1, 1, 2, 2, 4, 4], pure=2))
+    # One more member with an eigenvalue of -1e-12, far below round-off, so
+    # that the clamp (and its eigh) runs.
+    u = random_unitary(4, rng)
+    negative = (u * [-1e-12, 0.2, 0.3, 0.5 + 1e-12]) @ u.conj().T
+    for member in payload["members"]:
+        member["p"] *= 0.9
+    payload["members"].append(rho_member(0.1, negative))
+    text = json.dumps(payload)
     path = tmp_path / "d4.json"
     path.write_text(text)
     raw = unvalidated_states(text)
-    clamped = int(np.count_nonzero(np.linalg.eigvalsh(raw)[:, 0] < 0.0))
+    # Clamped: a lowest eigenvalue below -roundoff_tol of the spectrum.
+    w = np.linalg.eigvalsh(raw)
+    clamped = int(np.count_nonzero(w[:, 0] < -roundoff_tol(w)))
     assert clamped > 0
     counts = count_eigensolves(monkeypatch)
     e = io.load_ensemble(path)

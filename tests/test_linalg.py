@@ -1,6 +1,7 @@
 """Matrix core: eigenvalues, singular values, and the norm family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ensq.errors import (
     InvalidNormSpec,
     NoConvergence,
     NotHermitian,
+    ParamOutOfRange,
 )
 from ensq.linalg import NormSpec
 
@@ -69,6 +71,27 @@ def test_hermitian_eig_rejects_non_hermitian():
         linalg.hermitian_eigenvalues(np.array([[0.0, 1e-8], [0.0, 0.0]]))
     # within tolerance it must pass
     linalg.hermitian_eigenvalues(np.array([[0.0, 1e-12], [0.0, 0.0]]))
+
+
+MATRIX_FUNCTIONS = {
+    "hermitian_eigenvalues": linalg.hermitian_eigenvalues,
+    "singular_values": linalg.singular_values,
+    "gram_singular_values": linalg.gram_singular_values,
+    "norm": lambda m: linalg.norm(m, NormSpec.trace()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_FUNCTIONS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                                 complex(1.0, -math.inf)])
+@pytest.mark.parametrize("where", [(1, 1), (0, 1)])
+def test_matrix_functions_reject_non_finite_entries_without_a_warning(name, bad, where):
+    m = np.eye(2, dtype=complex)
+    m[where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamOutOfRange, match="non-finite"):
+            MATRIX_FUNCTIONS[name](m)
 
 
 def test_solver_failure_maps_to_no_convergence(monkeypatch):

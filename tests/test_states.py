@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ensq import states
@@ -31,7 +31,7 @@ from ensq.states import (
     random_unitary,
     schmidt_coefficients,
 )
-from ensq.linalg import TOL
+from ensq.linalg import TOL, roundoff_tol
 
 
 def test_density_matrix_accepts_valid_and_freezes():
@@ -308,12 +308,18 @@ def test_infinite_amplitude_is_rejected_without_a_warning():
                 states.projector_stack([[1.0, 0.0], bad])
 
 
-def spectral_state(rng, dim, lowest=None):
-    """U diag(w) U^+ with Haar U, unit-trace w in [0.5, 1.5] / dim and w[0] = lowest."""
+def spectral_state(rng, dim, lowest=None, roundoffs=None):
+    """U diag(w) U^+ with Haar U, unit-trace w in [0.5, 1.5] / dim and w[0] = lowest,
+    or w[0] = ``roundoffs`` times the spectrum's ``roundoff_tol``."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     u, _ = np.linalg.qr(z)
     w = rng.random(dim) + 0.5
     w /= w.sum()
+    if roundoffs is not None:
+        # With w[0] = 0 the spectrum is the final one to within round-off.
+        w[0] = 0.0
+        w /= w.sum()
+        lowest = roundoffs * roundoff_tol(w)
     if lowest is not None:
         w[0] = lowest
         w[1:] *= (1.0 - lowest) / w[1:].sum()
@@ -322,6 +328,9 @@ def spectral_state(rng, dim, lowest=None):
 
 # One defect per case, 0.1 % either side of its bound; "clamped" puts the
 # lowest eigenvalue in [-TOL, 0) (or just above 0), far outside round-off.
+# "round-off" puts it at a quarter or four times -rho (``roundoff_tol``):
+# kept as given, or clamped.  Not at 0.1 % of rho, where eigh and eigvalsh
+# may disagree, since they differ by round-off.
 EDGE = [0.999, 1.001]
 DEFECTS = {
     "non-finite": st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -329,6 +338,7 @@ DEFECTS = {
     "trace": st.sampled_from([-1.001, -0.999, 0.999, 1.001]),
     "lowest": st.sampled_from(EDGE),
     "clamped": st.one_of(st.floats(0.001, 0.999), st.just(-0.001)),
+    "round-off": st.sampled_from([0.25, 4.0]),
 }
 
 
@@ -348,9 +358,20 @@ def edge_stacks(draw):
         stack[k, i, (i + 1 + j % (dim - 1)) % dim] += TOL * x
     elif case == "trace":
         stack[k, i, i] += TOL * x
+    elif case == "round-off":
+        stack[k] = spectral_state(rng, dim, roundoffs=-x)
     else:
         stack[k] = spectral_state(rng, dim, lowest=-TOL * x)
-    return stack
+    # The rows that an accepting validator must clamp; it stores the others as given.
+    clamped = np.zeros(n, dtype=bool)
+    clamped[k] = case in ("lowest", "clamped") and x > 0.0 or case == "round-off" and x == 4.0
+    return stack, clamped
+
+
+def round_off_case(roundoffs):
+    """A d = 16 stack of one state with lambda_min at ``roundoffs`` times rho."""
+    stack = spectral_state(np.random.default_rng(99), 16, roundoffs=-roundoffs)[None]
+    return stack, np.array([roundoffs > 1.0])
 
 
 def outcome(validate, stack):
@@ -360,9 +381,13 @@ def outcome(validate, stack):
         return None, str(exc)
 
 
+# Both sides of -rho on every run: hypothesis may draw only one of them.
 @settings(max_examples=150, deadline=None)
 @given(edge_stacks())
-def test_eigh_validation_accepts_and_rejects_as_validate_density_stack(stack):
+@example(round_off_case(0.25))
+@example(round_off_case(4.0))
+def test_eigh_validation_accepts_and_rejects_as_validate_density_stack(case):
+    stack, clamped = case
     want, want_error = outcome(states.validate_density_stack, stack)
     got, got_error = outcome(states._validate_density_eigh, stack)
     assert got_error == want_error
@@ -375,4 +400,28 @@ def test_eigh_validation_accepts_and_rejects_as_validate_density_stack(stack):
     # which is all that eigh reads), clamped ones included.
     defect = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max()
     assert np.abs((v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2) - m).max() <= 1e-14 + defect
-    assert w.min() >= 0.0
+    assert w[clamped].min(initial=0.0) >= 0.0
+    assert all(a.tobytes() != b.tobytes() for a, b in zip(m[clamped], stack[clamped]))
+    assert m[~clamped].tobytes() == stack[~clamped].tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_projectors_validate_without_a_clamp_eigh(dim, monkeypatch):
+    rng = np.random.default_rng([98, dim])
+    z = rng.standard_normal((20, dim)) + 1j * rng.standard_normal((20, dim))
+    amplitudes = z / np.linalg.norm(z, axis=1, keepdims=True)
+    raw = states._unit_outer(amplitudes)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    # Their zero eigenvalues come out within round-off of zero, many of them
+    # negative; such matrices are stored as given, with no eigh.
+    assert (eigh(raw)[0][:, 0] < 0.0).any()
+    assert states.projector_stack(amplitudes).tobytes() == raw.tobytes()
+    assert calls == []
+    # An eigenvalue of -1e-12 is far below round-off: that member is clamped.
+    negative = spectral_state(rng, dim, lowest=-1e-12)
+    got = states.validate_density_stack(np.concatenate([raw, negative[None]]))
+    assert calls == [(1, dim, dim)]
+    assert got[:-1].tobytes() == raw.tobytes()
+    assert np.linalg.eigvalsh(got[-1])[0] > -1e-15
