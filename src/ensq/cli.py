@@ -83,6 +83,8 @@ def cmd_examples(args) -> int:
 def cmd_random(args) -> int:
     if args.members < 1:
         raise ParamOutOfRange(f"members must be >= 1, got {args.members}")
+    if args.seed < 0:
+        raise ParamOutOfRange(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     probs = rng.random(args.members)
     probs = probs / probs.sum()

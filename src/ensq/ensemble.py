@@ -57,7 +57,8 @@ __all__ = [
 BLOCK_BYTES = 1 << 24
 # The low-rank route needs 4 (r_i + r_j) <= d.  Below d = 8 that admits
 # only pairs with a rank-0 member, so smaller ensembles skip the member
-# eigendecompositions and every pair takes the dense route.
+# eigendecompositions and every pair takes the dense route, unless a
+# source hands the kernel factors (``Ensemble.factors``).
 LOW_RANK_MIN_DIM = 8
 # check_weights passes a row whose numpy sum is within TOL / 2 of one
 # without an exact sum.  For at most this many finite nonnegative weights,
@@ -125,9 +126,12 @@ class Ensemble:
     ``factors`` are the members' low-rank factors (``_factors_from_eigh``:
     ranks, shifted eigenvalues, vectors), read-only, handed over by a
     source that has already eigendecomposed the members, so that
-    ``quantumness`` runs no member ``eigh`` of its own.  Only
-    ``io.load_ensemble`` supplies them (for d >= 8); every other
-    constructor and transform leaves them None.
+    ``quantumness`` runs no member ``eigh`` of its own.  Two sources
+    supply factors: ``io.load_ensemble`` (for d >= 8) on the ``Ensemble``,
+    and the property harness, which hands the kernel the factors of its
+    fine-grained eigenprojectors (``_rank_one_factors``, at every d)
+    without building an ``Ensemble``.  Every other constructor and
+    transform leaves them None.
     """
 
     probabilities: np.ndarray
@@ -207,10 +211,24 @@ def _low_rank_factors(states: np.ndarray, live: np.ndarray):
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     ranks = np.zeros(n, dtype=int)
-    shifted = np.zeros((n, d // 4))
-    vecs = np.zeros((n, d, d // 4), dtype=complex)
+    shifted = np.zeros((n, _factor_columns(d)))
+    vecs = np.zeros((n, d, _factor_columns(d)), dtype=complex)
     ranks[live], shifted[live], vecs[live] = _factors_from_eigh(w, v)
     return ranks, shifted, vecs
+
+
+def _factor_columns(d: int) -> int:
+    """Columns of a member's factors: d // 4, the most the low-rank route
+    uses, and at least one, for the overlap route of rank-1 members."""
+    return max(1, d // 4)
+
+
+def _rank_one_factors(vectors: np.ndarray):
+    """Factors of the projectors onto unit ``vectors`` ``(N, d)``: rank 1, lambda 1."""
+    n, d = vectors.shape
+    vecs = np.zeros((n, d, _factor_columns(d)), dtype=complex)
+    vecs[:, :, 0] = vectors
+    return np.ones(n, dtype=int), np.ones((n, _factor_columns(d))), vecs
 
 
 def _factors_from_eigh(w: np.ndarray, v: np.ndarray):
@@ -220,15 +238,15 @@ def _factors_from_eigh(w: np.ndarray, v: np.ndarray):
     eigenvalues within ``linalg.roundoff_tol`` of each other count as
     equal.  Its rank r is the number of eigenvalues outside that cluster.
     Returns the ranks ``(N,)`` and, outside-cluster pairs first, the
-    shifted eigenvalues ``(N, d//4)`` and eigenvectors ``(N, d, d//4)``;
-    only a member's first r columns are used.
+    shifted eigenvalues ``(N, c)`` and eigenvectors ``(N, d, c)``, with
+    ``c = _factor_columns(d)``; only a member's first r columns are used.
     """
     d = w.shape[-1]
     tol = linalg.roundoff_tol(w)[:, None]
     near = np.abs(w[:, :, None] - w[:, None, :]) <= tol[:, :, None]
     mu = np.take_along_axis(w, near.sum(axis=-1).argmax(axis=-1)[:, None], axis=-1)
     outside = np.abs(w - mu) > tol
-    order = np.argsort(~outside, axis=-1, kind="stable")[:, : d // 4]
+    order = np.argsort(~outside, axis=-1, kind="stable")[:, : _factor_columns(d)]
     return (
         outside.sum(axis=-1),
         np.take_along_axis(w - mu, order, axis=-1),
@@ -256,22 +274,42 @@ def _pair_singular_values(states: np.ndarray, i, j, factors) -> np.ndarray:
 
     ``i`` and ``j`` index the stack ``states`` ``(N, d, d)``, and
     ``factors`` holds its members' low-rank factors (``_factors_from_eigh``),
-    or is None when d < 8.  A pair of ranks r_i, r_j
-    takes the low-rank route when 4 (r_i + r_j) <= d, and is zero when
-    either rank is 0 (a multiple of the identity commutes with everything).
-    Every other pair takes the dense route: the full d x d commutator and
-    its eigenvalues.  Pairs are grouped by (r_i, r_j) and never padded to
-    another pair's rank, so no pair's values depend on the pairs computed
-    with it.
+    or is None when there are none (every pair dense).  Each pair's route
+    depends on that pair alone:
+
+    * a pair with a rank-0 member is zero (a multiple of the identity
+      commutes with everything);
+    * two rank-1 members, shifted by mu_i and mu_j, with kept eigenvalues
+      lambda and eigenvectors u, take the overlap route where
+      ``|c|^2 <= 1/2``, ``c = <u_i|u_j>``: the values are
+      ``|lambda_i lambda_j| |c| sqrt(1 - |c|^2)``, twice.  Under that guard
+      ``1 - |c|^2`` loses at most a few ulps; nearer-parallel pairs would
+      lose it all, so they keep the routes below;
+    * ranks with 4 (r_i + r_j) <= d take the low-rank route;
+    * every other pair takes the dense route: the full d x d commutator
+      and its eigenvalues.
+
+    Low-rank pairs are grouped by (r_i, r_j) and never padded to another
+    pair's rank, so no pair's values depend on the pairs computed with it.
     """
     if factors is None:
         a, b = states[i], states[j]
         return linalg.antihermitian_singular_values(a @ b - b @ a)
     ranks, lam, vecs = factors
     r_i, r_j = ranks[i], ranks[j]
-    out = np.zeros((len(i), states.shape[-1]))
-    dense = (4 * (r_i + r_j) > states.shape[-1]) & (r_i > 0) & (r_j > 0)
-    low = np.flatnonzero(~dense & (r_i > 0) & (r_j > 0))
+    d = states.shape[-1]
+    out = np.zeros((len(i), d))
+    rank1 = np.flatnonzero((r_i == 1) & (r_j == 1))
+    c = np.sum(vecs[i[rank1], :, 0].conj() * vecs[j[rank1], :, 0], axis=-1)
+    cc = c.real**2 + c.imag**2
+    guard = cc <= 0.5
+    over, cc = rank1[guard], cc[guard]
+    scale = np.abs(lam[i[over], 0] * lam[j[over], 0])
+    out[over, :2] = (scale * np.sqrt(cc * (1.0 - cc)))[:, None]
+    rest = (r_i > 0) & (r_j > 0)
+    rest[over] = False
+    dense = rest & (4 * (r_i + r_j) > d)
+    low = np.flatnonzero(rest & ~dense)
     for r_a, r_b in sorted(set(zip(r_i[low].tolist(), r_j[low].tolist()))):
         sel = low[(r_i[low] == r_a) & (r_j[low] == r_b)]
         a, b = i[sel], j[sel]
@@ -312,35 +350,69 @@ def _pair_blocks(count: int, d: int):
     return [slice(s, s + step) for s in range(0, count, step)]
 
 
-def quantumness_batch(probs, states, spec: NormSpec, factors=None) -> np.ndarray:
-    """Quantumness of each ensemble in a stack; see :func:`quantumness`.
+def _pair_norms(probs, states, spec: NormSpec, factors=None, known=None):
+    """The live pairs of a stack (``_live_pairs``) and the norm of each.
 
-    ``factors`` are the low-rank factors of the batch-flattened members,
-    as ``Ensemble.factors`` holds them; when None (always below d = 8)
-    they come from one ``eigh`` per live member at d >= 8.
+    Returns ``(owner, i, j, counts, norms)``.  ``factors`` are the low-rank
+    factors of the batch-flattened members, as ``Ensemble.factors`` holds
+    them; when None they come from one ``eigh`` per member of a pair to
+    compute, at d >= 8.  ``known`` ``(B, m, m)``, if given, holds at
+    ``[b, i, j]`` a norm computed before for members i < j of ensemble b
+    (``_norm_table``), from the same two matrices and so on the same
+    route; pairs where it is NaN are computed here.
     """
     probs = np.asarray(probs, dtype=float)
     states = np.asarray(states)
     owner, i, j, counts = _live_pairs(probs)
-    out = np.zeros(len(probs))
-    if len(owner) == 0:
-        return out
-    d = states.shape[-1]
-    flat_probs = probs.ravel()
-    weights = 2.0 * np.sqrt(flat_probs[i] * flat_probs[j])
+    m, d = probs.shape[1], states.shape[-1]
     members = states.reshape(-1, d, d)
-    if factors is None:
-        factors = _low_rank_factors(members, flat_probs > 0.0)
-    norms = np.empty(len(owner))
-    for blk in _pair_blocks(len(owner), d):
-        sv = _pair_singular_values(members, i[blk], j[blk], factors)
-        norms[blk] = linalg.norm_from_singular_values(sv, spec)
-    terms = (weights * norms).tolist()
+    if known is None:
+        norms = np.full(len(owner), np.nan)
+    else:
+        norms = known.reshape(-1, m)[i, j - owner * m]
+    todo = np.flatnonzero(np.isnan(norms))
+    if factors is None and todo.size:
+        needed = np.zeros(len(members), dtype=bool)
+        needed[i[todo]] = needed[j[todo]] = True
+        factors = _low_rank_factors(members, needed)
+    for blk in _pair_blocks(len(todo), d):
+        sel = todo[blk]
+        sv = _pair_singular_values(members, i[sel], j[sel], factors)
+        norms[sel] = linalg.norm_from_singular_values(sv, spec)
+    return owner, i, j, counts, norms
+
+
+def _norm_table(pairs, m: int) -> np.ndarray:
+    """The norms of ``_pair_norms`` as a ``(B, m, m)`` table, NaN off the live pairs."""
+    owner, i, j, counts, norms = pairs
+    table = np.full((len(counts) * m, m), np.nan)
+    table[i, j - owner * m] = norms
+    return table.reshape(-1, m, m)
+
+
+def _weighted_sums(probs: np.ndarray, pairs) -> np.ndarray:
+    """Per ensemble, the exact sum of 2 sqrt(p_i p_j) ||[rho_i, rho_j]|| over
+    the live pairs of ``_pair_norms``, in their lexicographic order."""
+    owner, i, j, counts, norms = pairs
+    flat_probs = probs.ravel()
+    terms = (2.0 * np.sqrt(flat_probs[i] * flat_probs[j]) * norms).tolist()
+    out = np.zeros(len(counts))
     start = 0
     for n, count in enumerate(counts.tolist()):
         out[n] = math.fsum(terms[start : start + count])
         start += count
     return out
+
+
+def quantumness_batch(probs, states, spec: NormSpec, factors=None) -> np.ndarray:
+    """Quantumness of each ensemble in a stack; see :func:`quantumness`.
+
+    ``factors`` are the low-rank factors of the batch-flattened members
+    (see ``_pair_norms``); when None, members below d = 8 take none and
+    every pair is dense.
+    """
+    probs = np.asarray(probs, dtype=float)
+    return _weighted_sums(probs, _pair_norms(probs, states, spec, factors))
 
 
 def is_classical_batch(probs, states, tol: float = 1e-9) -> np.ndarray:

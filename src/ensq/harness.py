@@ -28,6 +28,10 @@ import numpy as np
 from .ensemble import (
     Ensemble,
     Partition,
+    _norm_table,
+    _pair_norms,
+    _rank_one_factors,
+    _weighted_sums,
     check_weights,
     check_decompositions,
     coarse_grain_batch,
@@ -40,8 +44,8 @@ from .errors import ParamOutOfRange
 from .linalg import NormSpec
 from .states import (
     _adjoint,
+    _eigenprojectors,
     _hermitize,
-    eigenprojectors,
     ginibre_states,
     haar_unitaries,
     validate_density_stack,
@@ -176,6 +180,42 @@ def _classicality_fails(m: float, classical: bool, slack: float) -> bool:
     return m > slack if classical else m <= 0.0
 
 
+def _union_values(probs, states, pairs, o_probs, o_states, o_pairs, lam, spec) -> np.ndarray:
+    """M of the unions ``lam[:, 0]`` E + ``lam[:, 1]`` O, batched.
+
+    ``pairs`` and ``o_pairs`` are the ``_pair_norms`` of E and of O: their
+    pairs keep those norms, so only the cross pairs are computed.
+    """
+    m = probs.shape[1]
+    u_probs, u_states = union_batch([probs, o_probs], [states, o_states], lam)
+    known = np.full((len(probs), 2 * m, 2 * m), np.nan)
+    known[:, :m, :m] = _norm_table(pairs, m)
+    known[:, m:, m:] = _norm_table(o_pairs, m)
+    return _weighted_sums(u_probs, _pair_norms(u_probs, u_states, spec, known=known))
+
+
+def _variant_values(probs, states, pairs, target, parts, spec) -> np.ndarray:
+    """M ``(B, K)`` of ensemble b with member ``target[b]`` replaced by each
+    of ``parts[b]`` ``(K, d, d)``.
+
+    ``pairs`` are the ``_pair_norms`` of the ensembles: pairs without the
+    target member keep those norms, so only the target's pairs are computed.
+    """
+    n, m = probs.shape
+    k = parts.shape[1]
+    rows = np.arange(n)
+    variants = np.repeat(states[:, None], k, axis=1)
+    variants[rows, :, target] = parts
+    known = np.repeat(_norm_table(pairs, m)[:, None], k, axis=1)
+    known[rows, :, target] = np.nan
+    known[rows, :, :, target] = np.nan
+    v_probs = np.repeat(probs, k, axis=0)
+    v_pairs = _pair_norms(
+        v_probs, variants.reshape(n * k, *states.shape[1:]), spec, known=known.reshape(-1, m, m)
+    )
+    return _weighted_sums(v_probs, v_pairs).reshape(n, k)
+
+
 def _run_trials(
     dim: int, members: int, spec: NormSpec, seed: int, trials, slack: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +229,8 @@ def _run_trials(
     rows = np.arange(n)
 
     probs, states = _build_ensembles([d.ensemble for d in draws], dim)
-    m_e = quantumness_batch(probs, states, spec)
+    pairs = _pair_norms(probs, states, spec)
+    m_e = _weighted_sums(probs, pairs)
     classical_e = is_classical_batch(probs, states, slack)
 
     # Positivity, and zero exactly on classical ensembles.
@@ -201,24 +242,27 @@ def _run_trials(
     m_conj = quantumness_batch(probs, conjugate_batch(states, u), spec)
 
     o_probs, o_states = _build_ensembles([d.other for d in draws], dim)
-    m_o = quantumness_batch(o_probs, o_states, spec)
+    o_pairs = _pair_norms(o_probs, o_states, spec)
+    m_o = _weighted_sums(o_probs, o_pairs)
     lam = np.array([d.lam for d in draws])
     lam = lam / lam.sum(axis=1, keepdims=True)
-    m_union = quantumness_batch(*union_batch([probs, o_probs], [states, o_states], lam), spec)
+    m_union = _union_values(probs, states, pairs, o_probs, o_states, o_pairs, lam, spec)
 
     # Every member's spectral decomposition serves both the decomposition
-    # of the target member and the fine-graining.
-    weights, proj = eigenprojectors(states)
+    # of the target member and the fine-graining, whose members are the
+    # rank-1 projectors onto its eigenvectors.
+    weights, proj, vectors = _eigenprojectors(states)
     check_decompositions(weights, proj, states, range(members))
     target = np.array([d.target for d in draws])
-    variants = np.repeat(states[:, None], dim, axis=1)
-    variants[rows, :, target] = proj[rows, target]
-    m_var = quantumness_batch(
-        np.repeat(probs, dim, axis=0), variants.reshape(n * dim, *states.shape[1:]), spec
-    ).reshape(n, dim)
+    m_var = _variant_values(probs, states, pairs, target, proj[rows, target], spec)
     fine_probs = (probs[:, :, None] * weights).reshape(n, -1)
     check_weights(fine_probs, "ensemble probabilities")
-    m_fine = quantumness_batch(fine_probs, proj.reshape(n, members * dim, dim, dim), spec)
+    m_fine = quantumness_batch(
+        fine_probs,
+        proj.reshape(n, members * dim, dim, dim),
+        spec,
+        _rank_one_factors(vectors.reshape(-1, dim)),
+    )
 
     # Ensembles are batched by block count, which varies between trials.
     m_coarse = np.empty(n)

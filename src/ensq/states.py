@@ -191,11 +191,17 @@ def eigenprojectors(states) -> tuple[np.ndarray, np.ndarray]:
     belongs to weight ``k``.  The pairs recombine to the input to machine
     precision.
     """
+    return _eigenprojectors(states)[:2]
+
+
+def _eigenprojectors(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``eigenprojectors`` and the unit eigenvectors ``(..., d, d)`` it projects
+    onto: ``vectors[..., k, :]`` spans ``projectors[..., k, :, :]``."""
     w, v = np.linalg.eigh(states)
     w = np.clip(w, 0.0, None)
     w = w / w.sum(axis=-1, keepdims=True)
     vecs = np.swapaxes(v, -1, -2)
-    return w, validate_density_stack(vecs[..., :, None] * vecs.conj()[..., None, :])
+    return w, validate_density_stack(vecs[..., :, None] * vecs.conj()[..., None, :]), vecs
 
 
 def ginibre_states(gauss) -> np.ndarray:

@@ -77,10 +77,12 @@ def analytic_pair_singular_values(c: float, dim: int) -> np.ndarray:
     """Singular values of [|psi><psi|, |phi><phi|] with overlap magnitude c.
 
     The commutator acts on the two-dimensional span, where both nonzero
-    singular values equal c * sqrt(1 - c^2).
+    singular values equal c * sqrt(1 - c^2), taken here as
+    c * sqrt((1 - c)(1 + c)): for c >= 1/2, 1 - c is exact, so the value
+    keeps full accuracy near c = 1.
     """
     s = np.zeros(dim)
-    s[:2] = c * math.sqrt(max(1.0 - c * c, 0.0))
+    s[:2] = c * math.sqrt(max((1.0 - c) * (1.0 + c), 0.0))
     return s
 
 

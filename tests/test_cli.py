@@ -631,10 +631,19 @@ def test_load_and_compute_eigendecompose_each_member_once_from_d_8(tmp_path, mon
     # Kept-eigenvalue ranks: a full-rank state has no repeated eigenvalue.
     ranks = [1, 1, 3, 3, 3, dim - 1, dim - 1, dim - 1, 1, 1, 1]
     assert e.factors[0].tolist() == ranks
-    # Each pair's commutator: d x d on the dense route, k x k on the low-rank one.
+    # Each pair's commutator: d x d on the dense route, k x k on the low-rank
+    # one, and none on the overlap route: two rank-1 members (projectors here)
+    # with |c|^2 = tr(P_a P_b) <= 1/2.
+    stack = e.state_stack
+    overlap = [
+        ranks[a] == ranks[b] == 1 and np.trace(stack[a] @ stack[b]).real <= 0.5
+        for a, b in itertools.combinations(range(len(ranks)), 2)
+    ]
+    assert sum(overlap) == 10
     pairs = Counter(
         ("eigvalsh", "pair", dim if 4 * (a + b) > dim else a + b)
-        for a, b in itertools.combinations(ranks, 2)
+        for (a, b), skip in zip(itertools.combinations(ranks, 2), overlap)
+        if not skip
     )
     assert +counts == {("eigh", "member", dim): len(ranks), **pairs}
 
@@ -920,6 +929,58 @@ def test_cli_random_bad_members_exits_2(tmp_path, capsys):
         assert main(["random", "--dim", "2", "--members", members, "--out", str(out)]) == 2
         assert "members" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Argument lists of every subcommand, with the exit code each must give:
+# 0 on success and 2 on bad input.  "{tmp}" is a fresh directory and
+# "{file}" a valid two-member ensemble file in it.
+EXIT_CODES = {
+    "compute": (["compute", "{file}"], 0),
+    "compute-missing-file": (["compute", "{tmp}/missing.json"], 2),
+    "compute-bad-norm": (["compute", "{file}", "--norm", "nuclear"], 2),
+    "compute-kyfan-beyond-dim": (["compute", "{file}", "--norm", "kyfan:3"], 2),
+    "sweep": (["sweep", "overlap", "--c", "0:1:0.25", "--out", "{tmp}/o.csv"], 0),
+    "sweep-bad-grid": (["sweep", "overlap", "--c", "abc", "--out", "{tmp}/o.csv"], 2),
+    "sweep-out-of-range": (["sweep", "overlap", "--p1", "1.5", "--out", "{tmp}/o.csv"], 2),
+    "sweep-missing-dir": (["sweep", "overlap", "--out", "{tmp}/no/o.csv"], 2),
+    "check-properties": (
+        ["check-properties", "--dim", "2", "--members", "2", "--trials", "5", "--seed", "1"], 0
+    ),
+    "check-properties-negative-seed": (
+        ["check-properties", "--dim", "2", "--members", "2", "--seed", "-1"], 2
+    ),
+    "check-properties-kyfan-beyond-dim": (
+        ["check-properties", "--dim", "2", "--members", "2", "--trials", "5", "--norm",
+         "kyfan:3"], 2
+    ),
+    "examples": (["examples", "--out", "{tmp}/ex"], 0),
+    "examples-out-is-a-file": (["examples", "--out", "{file}"], 2),
+    "random": (["random", "--dim", "2", "--members", "2", "--seed", "3", "--out",
+                "{tmp}/r.json"], 0),
+    "random-negative-seed": (["random", "--dim", "2", "--members", "2", "--seed", "-1",
+                              "--out", "{tmp}/r.json"], 2),
+    "random-bad-dim": (["random", "--dim", "0", "--members", "2", "--out", "{tmp}/r.json"], 2),
+    "random-missing-arguments": (["random"], 2),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(EXIT_CODES))
+def test_cli_exit_codes_without_a_traceback_or_warning(tmp_path, capsys, case):
+    argv, want = EXIT_CODES[case]
+    path = example3_file(tmp_path)
+    argv = [a.format(tmp=tmp_path, file=path) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == want, err
+    assert "Traceback" not in err
+    if want == 2:
+        assert err.startswith(("error: ", "usage: ")), err
+    if case.endswith("negative-seed"):
+        assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_cli_check_properties_passes_and_reports(capsys):

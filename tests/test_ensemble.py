@@ -220,7 +220,8 @@ def test_quantumness_known_two_pure_state_value():
 
 
 def test_pair_commutator_singular_values_match_analytic_form():
-    # d < 8 takes the dense route, d = 16 and 32 the low-rank route (k = 2).
+    # d < 8 takes the dense route; at d = 16 and 32, random pure pairs have
+    # |c|^2 <= 1/2 almost surely and take the overlap route.
     rng = np.random.default_rng(41)
     for dim in (2, 3, 4, 16, 32):
         for _ in range(20):

@@ -1,20 +1,33 @@
-"""Property harness: a batched run and its single-trial replays agree exactly."""
+"""Property harness: a batched run and its single-trial replays agree exactly,
+and the pair norms it shares between ensembles change no bit."""
 
 import re
 
+import numpy as np
 import pytest
 
-from ensq.ensemble import Ensemble, is_classical, quantumness
+from ensq.ensemble import (
+    Ensemble,
+    _pair_norms,
+    is_classical,
+    quantumness,
+    quantumness_batch,
+    union_batch,
+)
 from ensq.harness import (
     _CHUNK,
     PROPERTY_NAMES,
+    _build_ensembles,
     _classicality_fails,
+    _draw_ensemble,
+    _union_values,
+    _variant_values,
     check_properties,
     run_single_trial,
 )
 from ensq.linalg import NormSpec
 from ensq.measures import plus_state
-from ensq.states import PureState, projector
+from ensq.states import PureState, eigenprojectors, projector
 
 CASES = [
     (2, 2, NormSpec.schatten(3.0)),
@@ -85,3 +98,54 @@ def test_tiny_weight_ensemble_is_not_a_classicality_failure():
     assert 0.0 < m < 1e-9
     assert not is_classical(e)
     assert not _classicality_fails(m, is_classical(e), 1e-9)
+
+
+# The five norms of the benchmark's property grid.
+GRID_NORMS = [
+    NormSpec.trace(),
+    NormSpec.frobenius(),
+    NormSpec.schatten(3.0),
+    NormSpec.spectral(),
+    NormSpec.kyfan(1),
+]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 9])
+@pytest.mark.parametrize("spec", GRID_NORMS, ids=lambda s: s.label())
+def test_spliced_union_and_variant_values_equal_the_plain_kernel_bit_for_bit(dim, spec):
+    # The union reuses E's and O's pair norms, the variants reuse E's; a
+    # plain kernel call on the full ensembles must give the same bits.
+    rng = np.random.default_rng([31, dim])
+    n, members = 12, 3
+    probs, states = _build_ensembles(
+        [_draw_ensemble(rng, dim, members, allow_zero_prob=True) for _ in range(n)], dim
+    )
+    o_probs, o_states = _build_ensembles(
+        [_draw_ensemble(rng, dim, members) for _ in range(n)], dim
+    )
+    lam = rng.random((n, 2))
+    lam = lam / lam.sum(axis=1, keepdims=True)
+    pairs = _pair_norms(probs, states, spec)
+    o_pairs = _pair_norms(o_probs, o_states, spec)
+    got = _union_values(probs, states, pairs, o_probs, o_states, o_pairs, lam, spec)
+    want = quantumness_batch(*union_batch([probs, o_probs], [states, o_states], lam), spec)
+    assert _bits(got) == _bits(want)
+
+    rows, target = np.arange(n), rng.integers(members, size=n)
+    parts = eigenprojectors(states)[1][rows, target]
+    got = _variant_values(probs, states, pairs, target, parts, spec)
+    variants = np.repeat(states[:, None], dim, axis=1)
+    variants[rows, :, target] = parts
+    want = quantumness_batch(
+        np.repeat(probs, dim, axis=0), variants.reshape(n * dim, members, dim, dim), spec
+    )
+    assert _bits(got.ravel()) == _bits(want)
+
+
+@pytest.mark.parametrize("spec", GRID_NORMS, ids=lambda s: s.label())
+def test_property_suite_holds_at_d_16(spec):
+    # At d = 16 the kernel's overlap, low-rank and dense routes all serve the
+    # six properties (criterion 6's grid stops at d = 4, all dense).
+    report = check_properties(16, 3, trials=50, seed=16, spec=spec)
+    assert report.all_passed(), report.render()
+    assert report.worst_slack() <= 1e-9

@@ -1,15 +1,22 @@
-"""The pair kernel's two routes: low-rank (4 (r_i + r_j) <= d) and dense.
+"""The pair kernel's routes: rank 0, overlap, low-rank and dense.
 
-Every value is checked against oracles that share no code with the
-kernel: the naive ordered-pair sum over SVD norms and the two-pure-state
-closed form 2 sqrt(p_1 p_2) ||[P, Q]|| with singular values c sqrt(1 - c^2).
+A pair with a rank-0 member is zero.  Two rank-1 members with
+``|c|^2 <= 1/2`` take the overlap route, ``|lambda_i lambda_j| |c|
+sqrt(1 - |c|^2)`` twice; nearer-parallel rank-1 pairs keep the other two.
+Ranks with 4 (r_i + r_j) <= d take the low-rank route, and every other
+pair the dense one.  Members carry factors at d >= 8, or wherever a source
+hands them over (the property harness's fine-grained eigenprojectors at
+every d).  Every value is checked against oracles that share no code with
+the kernel: the naive ordered-pair sum over SVD norms and the
+two-pure-state closed form 2 sqrt(p_1 p_2) ||[P, Q]|| with singular values
+c sqrt(1 - c^2).
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ensq import ensemble, linalg
@@ -17,6 +24,7 @@ from ensq.ensemble import (
     Ensemble,
     _low_rank_factors,
     _pair_singular_values,
+    _rank_one_factors,
     is_classical,
     is_classical_batch,
     quantumness,
@@ -25,7 +33,7 @@ from ensq.ensemble import (
 from ensq.errors import InvalidNormSpec
 from ensq.linalg import NormSpec
 
-from _oracles import naive_quantumness
+from _oracles import analytic_pair_singular_values, naive_quantumness
 
 # The five norms of the benchmark's property grid.
 NORMS = [
@@ -224,3 +232,111 @@ def test_low_rank_route_agrees_with_dense_route(dim, data, eps, seed):
     low = _pair_singular_values(stack, i, j, factors)[0]
     dense = _pair_singular_values(stack, i, j, None)[0]
     assert np.abs(low - dense).max() <= 1e-12 * dense[0]
+
+
+def overlap_pair(dim, c, eps, rng, rotate):
+    """Two rank-1 members (1 - eps) I/d + eps P with |<psi|phi>| = c.
+
+    phi = c psi + sqrt((1 - c)(1 + c)) psi_perp, with phases.  Unrotated,
+    psi and psi_perp sit on two distinct coordinates, so they are exactly
+    orthogonal and c holds to round-off even next to c = 1; rotated, they
+    are two columns of a random unitary.
+    """
+    if rotate:
+        u = unitary(dim, rng)
+        psi, perp = u[:, 0], u[:, 1]
+    else:
+        k, l = rng.choice(dim, size=2, replace=False)
+        psi, perp = np.zeros(dim, dtype=complex), np.zeros(dim, dtype=complex)
+        psi[k], perp[l] = np.exp(2j * np.pi * rng.random(2))
+    phi = c * psi + math.sqrt((1.0 - c) * (1.0 + c)) * perp
+    stack = np.stack(
+        [(1.0 - e) * np.eye(dim) / dim + e * np.outer(v, v.conj()) for e, v in zip(eps, (psi, phi))]
+    )
+    return stack, np.stack([psi, phi])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    dim=st.sampled_from([2, 3, 4, 8, 16]),
+    c=st.one_of(
+        st.floats(0.0, 1e-6),  # near-orthogonal
+        st.floats(0.0, 0.7),  # |c|^2 up to 0.49
+        st.floats(0.71, 1.0),  # |c|^2 from 0.5041
+        st.integers(4, 14).map(lambda k: 1.0 - 10.0**-k),  # near-parallel
+    ),
+    eps=st.tuples(st.sampled_from([1.0, 0.75]), st.floats(0.05, 1.0)),
+    rotate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=2, c=1.0 - 1e-12, eps=(1.0, 1.0), rotate=False, seed=1)
+@example(dim=16, c=1.0 - 1e-12, eps=(0.75, 0.5), rotate=False, seed=2)
+@example(dim=3, c=math.sqrt(0.5), eps=(0.75, 0.5), rotate=True, seed=3)
+def test_rank_one_pairs_match_the_closed_form_on_both_sides_of_the_guard(
+    dim, c, eps, rotate, seed
+):
+    # Shifted members ((1 - eps) I/d + eps P) have mu != 0 and lambda = eps.
+    # Their factors are handed over at every d, as the harness hands over
+    # those of its eigenprojectors: the kernel picks the overlap route for
+    # |c|^2 <= 1/2 and keeps the low-rank (d >= 8) or dense route above.
+    rng = np.random.default_rng(seed)
+    stack, vectors = overlap_pair(dim, c, eps, rng, rotate)
+    ranks, lam, vecs = _rank_one_factors(vectors)
+    factors = ranks, lam * np.array(eps)[:, None], vecs
+    got = _pair_singular_values(stack, np.array([0]), np.array([1]), factors)[0]
+    want = eps[0] * eps[1] * analytic_pair_singular_values(c, dim)
+    # A rotated input carries round-off of its own (about 1e-16 of
+    # orthogonality), which moves a near-parallel pair's values relatively.
+    rel = 1e-8 if rotate else 1e-12
+    assert got.shape == (dim,)
+    assert np.abs(got - want).max() <= rel * want[0] + 1e-15
+    if c * c <= 0.5:
+        pair = [(0.5, stack[0]), (0.5, stack[1])]
+        probs, states = np.full((1, 2), 0.5), stack[None]
+        for spec in NORMS:
+            value = quantumness_batch(probs, states, spec, factors)[0]
+            assert value == pytest.approx(naive_quantumness(pair, spec), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
+def test_kyfan_orders_up_to_the_dimension_on_the_overlap_route(dim):
+    rng = np.random.default_rng(88)
+    # Unit vectors with |c| = 1/2: overlap route at every d.
+    v = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+    v[0] /= np.linalg.norm(v[0])
+    v[1] -= np.vdot(v[0], v[1]) * v[0]
+    v[1] = 0.5 * v[0] + math.sqrt(0.75) * v[1] / np.linalg.norm(v[1])
+    stack = np.einsum("ni,nj->nij", v, v.conj())
+    factors = _rank_one_factors(v)
+    i, j = np.array([0]), np.array([1])
+    assert _pair_singular_values(stack, i, j, factors).shape == (1, dim)
+    probs = np.array([[0.25, 0.75]])
+    trace = quantumness_batch(probs, stack[None], NormSpec.trace(), factors)[0]
+    want = naive_quantumness(list(zip(probs[0], stack)), NormSpec.trace())
+    assert trace == pytest.approx(want, rel=1e-12)
+    # Two nonzero singular values: kyfan:k for 2 <= k <= d is the trace norm.
+    assert quantumness_batch(probs, stack[None], NormSpec.kyfan(dim), factors)[0] == trace
+    with pytest.raises(InvalidNormSpec):
+        quantumness_batch(probs, stack[None], NormSpec.kyfan(dim + 1), factors)
+
+
+def test_overlap_route_takes_no_eigensolve_and_the_guard_keeps_the_rest(monkeypatch):
+    rng = np.random.default_rng(89)
+    d = 16
+    near = overlap_pair(d, 1.0 - 1e-9, (1.0, 1.0), rng, rotate=False)[0]
+    far = overlap_pair(d, 0.5, (1.0, 0.5), rng, rotate=False)[0]
+    stack = np.concatenate([near, far])
+    factors = _low_rank_factors(stack, np.ones(4, dtype=bool))
+    solved = []
+
+    def counted(a, *args, _solve=np.linalg.eigvalsh, **kwargs):
+        solved.append(np.shape(a))
+        return _solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    # |c|^2 = 0.25: no eigensolve.  |c|^2 = 1 - 2e-9: one 2 x 2 (QR route).
+    got = _pair_singular_values(stack, np.array([2, 0]), np.array([3, 1]), factors)
+    assert solved == [(1, 2, 2)]
+    for row, c, scale in zip(got, (0.5, 1.0 - 1e-9), (0.5, 1.0)):
+        want = scale * analytic_pair_singular_values(c, d)
+        assert np.abs(row - want).max() <= 1e-12 * want[0]
