@@ -125,9 +125,10 @@ class Ensemble:
 
     ``factors`` are the members' low-rank factors (``_factors_from_eigh``:
     ranks, shifted eigenvalues, vectors), read-only, handed over by a
-    source that has already eigendecomposed the members, so that
-    ``quantumness`` runs no member ``eigh`` of its own.  Two sources
-    supply factors: ``io.load_ensemble`` (for d >= 8) on the ``Ensemble``,
+    source that already has them (from an eigendecomposition, or from a
+    pure member's amplitudes), so that ``quantumness`` runs no member
+    ``eigh`` of its own.  Two sources supply factors:
+    ``io.load_ensemble`` (for d >= 8) on the ``Ensemble``,
     and the property harness, which hands the kernel the factors of its
     fine-grained eigenprojectors (``_rank_one_factors``, at every d)
     without building an ``Ensemble``.  Every other constructor and
@@ -161,7 +162,8 @@ class Ensemble:
         """Ensemble over ``states`` ``(m, d, d)`` already passed by
         ``validate_density_stack``; only the probabilities are checked.
         ``factors``, if given, must be ``_factors_from_eigh`` of the
-        eigenpairs of ``states``."""
+        eigenpairs of ``states``, or, for rank-1 projectors,
+        ``_rank_one_factors`` of their unit vectors."""
         ensemble = object.__new__(cls)
         ensemble.__post_init__(probabilities, np.array(states, dtype=complex), factors)
         return ensemble

@@ -45,8 +45,9 @@ from .linalg import NormSpec
 from .states import (
     _adjoint,
     _eigenprojectors,
+    _ginibre,
     _hermitize,
-    ginibre_states,
+    _validate_density_eigh,
     haar_unitaries,
     validate_density_stack,
 )
@@ -81,38 +82,42 @@ _CHUNK = 250
 
 def _draw_ensemble(rng, dim: int, members: int, allow_zero_prob: bool = False):
     """Random numbers for one Ginibre ensemble: raw weights, per-member Gaussians."""
-    probs = rng.random(members)
-    if allow_zero_prob and members >= 3 and rng.random() < 0.2:
-        probs[int(rng.integers(members))] = 0.0
-    gauss = [rng.standard_normal((2, dim, int(rng.integers(1, dim + 1)))) for _ in range(members)]
+    random, integers, normal = rng.random, rng.integers, rng.standard_normal
+    probs = random(members)
+    if allow_zero_prob and members >= 3 and random() < 0.2:
+        probs[int(integers(members))] = 0.0
+    gauss = [normal((2, dim, int(integers(1, dim + 1)))) for _ in range(members)]
     return probs, gauss
 
 
-def _build_ensembles(draws, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the ensembles of ``_draw_ensemble`` draws: probabilities and states.
+def _build_ensembles(draws, dim: int, validate) -> tuple:
+    """Stack the ensembles of ``_draw_ensemble`` draws: probabilities and
+    ``validate`` of the states.
 
-    States of equal rank are generated and validated in one batch each.
+    The draws are grouped by Ginibre rank in one pass, and the states of
+    each rank are generated in one batch.  The whole family is then
+    validated in one call: ``validate_density_stack``, or
+    ``_validate_density_eigh`` where the eigenpairs serve later (the
+    property harness decomposes every member of E).
     """
     probs = np.array([p for p, _ in draws])
     probs = probs / probs.sum(axis=1, keepdims=True)
     check_weights(probs, "ensemble probabilities")
+    by_rank = {}
+    for t, (_, gauss) in enumerate(draws):
+        for i, g in enumerate(gauss):
+            by_rank.setdefault(g.shape[-1], []).append((t, i, g))
     states = np.empty((*probs.shape, dim, dim), dtype=complex)
-    for rank in range(1, dim + 1):
-        slots = [
-            (t, i, g)
-            for t, (_, gauss) in enumerate(draws)
-            for i, g in enumerate(gauss)
-            if g.shape[-1] == rank
-        ]
-        if slots:
-            t, i, g = zip(*slots)
-            states[list(t), list(i)] = ginibre_states(np.stack(g))
-    return probs, states
+    for slots in by_rank.values():
+        t, i, g = zip(*slots)
+        states[list(t), list(i)] = _ginibre(np.stack(g))
+    return probs, validate(states)
 
 
 def random_ensemble(dim: int, members: int, rng, allow_zero_prob: bool = False) -> Ensemble:
     """Random ensemble of Ginibre states (random ranks) with random weights."""
-    probs, states = _build_ensembles([_draw_ensemble(rng, dim, members, allow_zero_prob)], dim)
+    draws = [_draw_ensemble(rng, dim, members, allow_zero_prob)]
+    probs, states = _build_ensembles(draws, dim, validate_density_stack)
     return Ensemble.from_stack(probs[0], states[0])
 
 
@@ -134,13 +139,17 @@ def _random_partition(n: int, probs: np.ndarray, rng) -> Partition:
     Rejects draws that would give a block zero total probability (those are
     not coarse-grainable); falls back to the single-block partition.
     """
+    permutation, integers, choice = rng.permutation, rng.integers, rng.choice
+    p = probs.tolist()
     for _ in range(20):
-        order = rng.permutation(n)
-        nblocks = int(rng.integers(1, n + 1))
-        cuts = sorted(rng.choice(np.arange(1, n), size=nblocks - 1, replace=False)) if nblocks > 1 else []
+        order = permutation(n).tolist()
+        nblocks = int(integers(1, n + 1))
+        cuts = []
+        if nblocks > 1:  # the draw of choice(np.arange(1, n), ...), as indices
+            cuts = sorted((choice(n - 1, size=nblocks - 1, replace=False) + 1).tolist())
         bounds = [0, *cuts, n]
-        blocks = tuple(tuple(int(i) for i in order[a:b]) for a, b in zip(bounds, bounds[1:]))
-        if all(sum(float(probs[i]) for i in blk) > 0.0 for blk in blocks):
+        blocks = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
+        if all(sum(p[i] for i in blk) > 0.0 for blk in blocks):
             return Partition(blocks)
     return Partition.single_block(n)
 
@@ -159,19 +168,23 @@ class _TrialDraws:
 
 
 def _draw_trial(rng, dim: int, members: int) -> _TrialDraws:
+    random, normal = rng.random, rng.standard_normal
     ensemble = _draw_ensemble(rng, dim, members, allow_zero_prob=True)
-    classical = (
-        rng.standard_normal((2, dim, dim)),
-        rng.random(members),
-        rng.random((members, dim)),
-    )
-    unitary = rng.standard_normal((2, dim, dim))
+    classical = (normal((2, dim, dim)), random(members), random((members, dim)))
+    unitary = normal((2, dim, dim))
     other = _draw_ensemble(rng, dim, members)
-    lam = rng.random(2)
+    lam = random(2)
     target = int(rng.integers(members))
     # Zero patterns of raw and normalized weights coincide.
     partition = _random_partition(members, ensemble[0], rng)
     return _TrialDraws(ensemble, classical, unitary, other, lam, target, partition)
+
+
+def _trial_draws(dim: int, members: int, seed: int, trials) -> list:
+    """``_draw_trial`` of each trial t, from ``default_rng([seed, t])``."""
+    # default_rng builds exactly this generator; the direct call is cheaper.
+    pcg, generator = np.random.PCG64, np.random.Generator
+    return [_draw_trial(generator(pcg([seed, t])), dim, members) for t in trials]
 
 
 def _classicality_fails(m: float, classical: bool, slack: float) -> bool:
@@ -224,11 +237,14 @@ def _run_trials(
     Columns follow ``PROPERTY_NAMES``.  A violation is the amount by which
     the required inequality is broken (positive means broken).
     """
-    draws = [_draw_trial(np.random.default_rng([seed, t]), dim, members) for t in trials]
+    draws = _trial_draws(dim, members, seed, trials)
     n = len(draws)
     rows = np.arange(n)
 
-    probs, states = _build_ensembles([d.ensemble for d in draws], dim)
+    # E's eigenpairs come from its validation and serve its decomposition.
+    probs, (states, w, v) = _build_ensembles(
+        [d.ensemble for d in draws], dim, _validate_density_eigh
+    )
     pairs = _pair_norms(probs, states, spec)
     m_e = _weighted_sums(probs, pairs)
     classical_e = is_classical_batch(probs, states, slack)
@@ -241,7 +257,7 @@ def _run_trials(
     u = haar_unitaries(np.stack([d.unitary for d in draws]))
     m_conj = quantumness_batch(probs, conjugate_batch(states, u), spec)
 
-    o_probs, o_states = _build_ensembles([d.other for d in draws], dim)
+    o_probs, o_states = _build_ensembles([d.other for d in draws], dim, validate_density_stack)
     o_pairs = _pair_norms(o_probs, o_states, spec)
     m_o = _weighted_sums(o_probs, o_pairs)
     lam = np.array([d.lam for d in draws])
@@ -251,7 +267,7 @@ def _run_trials(
     # Every member's spectral decomposition serves both the decomposition
     # of the target member and the fine-graining, whose members are the
     # rank-1 projectors onto its eigenvectors.
-    weights, proj, vectors = _eigenprojectors(states)
+    weights, proj, vectors = _eigenprojectors(states, (w, v))
     check_decompositions(weights, proj, states, range(members))
     target = np.array([d.target for d in draws])
     m_var = _variant_values(probs, states, pairs, target, proj[rows, target], spec)

@@ -20,15 +20,18 @@ parse makes no reference cycles), drops the file text, then builds one
 ``(m, dim, dim)`` stack and one validated stack form per member kind;
 every diagnostic names the offending member.
 
-Eigensolves: below d = 8, validation runs one ``eigvalsh`` per member
-(``validate_density_stack``) and one ``eigh`` per clamped member, that is
-per member whose lowest eigenvalue lies below ``-linalg.roundoff_tol``;
-a member negative only within round-off is stored as written.  From
-d = 8 on, ``rho`` and ``psi`` members are validated from one ``eigh`` each
-(``states._validate_density_eigh``), whose eigenpairs become the
-``Ensemble``'s low-rank factors; ``quantumness`` of the loaded ensemble
-then runs no member eigensolve of its own, only the dense-route pairs'
-commutator ``eigvalsh``.
+Eigensolves: ``psi`` members take none at any d: their projectors are
+valid by construction (``states.projector_stack``), and from d = 8 on
+their low-rank factors are their normalized amplitudes (rank 1,
+lambda 1).  Below d = 8, validation runs one ``eigvalsh`` per ``rho`` or
+``bloch`` member (``validate_density_stack``) and one ``eigh`` per
+clamped member, that is per member whose lowest eigenvalue lies below
+``-linalg.roundoff_tol``; a member negative only within round-off is
+stored as written.  From d = 8 on, ``rho`` members are validated from one
+``eigh`` each (``states._validate_density_eigh``), whose eigenpairs
+become the ``Ensemble``'s low-rank factors.  ``quantumness`` of the
+loaded ensemble then runs no member eigensolve of its own, only the
+commutator ``eigvalsh`` of its dense-route and low-rank pairs.
 """
 
 from __future__ import annotations
@@ -39,10 +42,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import LOW_RANK_MIN_DIM, Ensemble, _factors_from_eigh
+from .ensemble import LOW_RANK_MIN_DIM, Ensemble, _factors_from_eigh, _rank_one_factors
 from .errors import EnsembleFileError, EnsqError
 from .states import (
-    _unit_outer,
     _validate_density_eigh,
     density_from_bloch_stack,
     projector_stack,
@@ -116,37 +118,32 @@ def _member_states(idx: list, make, values) -> np.ndarray:
         raise
 
 
-def _unfactored(validate):
-    """``validate`` returning its stack and no factors."""
-    return lambda values: (validate(values), None)
-
-
-def _factored(stack) -> tuple:
-    """``_validate_density_eigh`` of ``stack`` and the low-rank factors of its eigenpairs."""
-    states, w, v = _validate_density_eigh(stack)
-    return states, _factors_from_eigh(w, v)
-
-
 def _validated_states(members: list, kinds: dict, dim: int) -> tuple:
     """Validated ``(m, dim, dim)`` stack of every member's state, and its
     low-rank factors (None below ``LOW_RANK_MIN_DIM``)."""
     factored = dim >= LOW_RANK_MIN_DIM
-    parts = []
+    parts = []  # (members, states, factors)
     idx = kinds["rho"]
     if idx:
         what = f"a {dim}x{dim} matrix of [re, im] pairs"
         rho = _complex(_kind_stack(members, idx, "rho", (dim, dim, 2), what))
-        make = _factored if factored else _unfactored(validate_density_stack)
-        parts.append((idx, *_member_states(idx, make, rho)))
+        if factored:
+            states, w, v = _member_states(idx, _validate_density_eigh, rho)
+            parts.append((idx, states, _factors_from_eigh(w, v)))
+        else:
+            parts.append((idx, _member_states(idx, validate_density_stack, rho), None))
     idx = kinds["psi"]
     if idx:
         amps = _complex(_kind_stack(members, idx, "psi", (dim, 2), f"{dim} [re, im] amplitudes"))
-        make = (lambda a: _factored(_unit_outer(a))) if factored else _unfactored(projector_stack)
-        parts.append((idx, *_member_states(idx, make, amps)))
+        states = _member_states(idx, projector_stack, amps)
+        factors = None
+        if factored:  # rank 1, lambda 1, the normalized amplitudes: no eigh
+            factors = _rank_one_factors(amps / np.linalg.norm(amps, axis=-1, keepdims=True))
+        parts.append((idx, states, factors))
     idx = kinds["bloch"]  # dim 2 only, so never factored
     if idx:
         r = _kind_stack(members, idx, "bloch", (3,), "[x, y, z]")
-        parts.append((idx, *_member_states(idx, _unfactored(density_from_bloch_stack), r)))
+        parts.append((idx, _member_states(idx, density_from_bloch_stack, r), None))
     # Allocated last, so that it is not held while a kind is validated.
     stack = np.empty((len(members), dim, dim), dtype=complex)
     for idx, states, _ in parts:

@@ -90,10 +90,17 @@ def _first(bad: np.ndarray):
 
 def _checked_copy(stack) -> np.ndarray:
     """A writable complex copy of ``stack`` after the checks that need no
-    eigenvalues: shape, finite entries, Hermiticity and trace."""
+    eigenvalues: shape, then ``_check_plain``."""
     m = np.array(stack, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {m.shape}")
+    _check_plain(m)
+    return m
+
+
+def _check_plain(m: np.ndarray) -> None:
+    """Reject a matrix of the stack ``m`` that has a non-finite entry, is not
+    Hermitian within ``TOL`` or has no unit trace within ``TOL``."""
     # A NaN or infinite entry makes the defect NaN or infinite, so the one
     # comparison below also rejects non-finite matrices.
     with np.errstate(invalid="ignore"):
@@ -107,7 +114,6 @@ def _checked_copy(stack) -> np.ndarray:
     i = _first(np.abs(tr - 1.0) > TOL)
     if i is not None:
         raise InvalidState(f"density matrix trace {complex(tr.flat[i]):.12g} is not 1")
-    return m
 
 
 def _check_lowest(w: np.ndarray) -> np.ndarray:
@@ -145,11 +151,15 @@ def validate_density_stack(stack) -> np.ndarray:
     a read-only copy.
 
     Eigensolves: one ``eigvalsh`` per matrix, plus one ``eigh`` per matrix
-    that is clamped; rank-deficient states (projectors, low-rank Ginibre
-    states) whose zero eigenvalues come out at about ``-1e-16`` take no
-    ``eigh``.  ``io.load_ensemble`` validates its ``rho`` and ``psi``
-    members at d >= 8 through ``_validate_density_eigh`` instead, which
-    runs the same checks from one ``eigh`` per matrix.
+    that is clamped; rank-deficient states (low-rank Ginibre states) whose
+    zero eigenvalues come out at about ``-1e-16`` take no ``eigh``.  Two
+    kinds of stack skip this solve.  Rank-1 projectors built from unit
+    vectors (``projector_stack``, ``eigenprojectors``) are valid by
+    construction and run none (``_projectors``).  A stack that needs its
+    eigenpairs anyway (``io.load_ensemble``'s ``rho`` members at d >= 8,
+    the property harness's ensembles) goes through
+    ``_validate_density_eigh``, which runs the same checks from one
+    ``eigh`` per matrix.
     """
     m = _checked_copy(stack)
     clamp = _check_lowest(np.linalg.eigvalsh(m))
@@ -194,14 +204,28 @@ def eigenprojectors(states) -> tuple[np.ndarray, np.ndarray]:
     return _eigenprojectors(states)[:2]
 
 
-def _eigenprojectors(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _eigenprojectors(states, eig=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``eigenprojectors`` and the unit eigenvectors ``(..., d, d)`` it projects
-    onto: ``vectors[..., k, :]`` spans ``projectors[..., k, :, :]``."""
-    w, v = np.linalg.eigh(states)
+    onto: ``vectors[..., k, :]`` spans ``projectors[..., k, :, :]``.
+
+    Eigensolves: one ``eigh`` per matrix, or none when ``eig`` holds the
+    eigenpairs ``(w, v)`` of ``states``, as ``_validate_density_eigh``
+    returns them.  The projectors are the raw outer products of the
+    eigenvectors, validated by construction (``_projectors``), so no
+    ``eigvalsh`` runs either.
+    """
+    w, v = np.linalg.eigh(states) if eig is None else eig
     w = np.clip(w, 0.0, None)
     w = w / w.sum(axis=-1, keepdims=True)
     vecs = np.swapaxes(v, -1, -2)
-    return w, validate_density_stack(vecs[..., :, None] * vecs.conj()[..., None, :]), vecs
+    return w, _projectors(vecs, _ket_bra), vecs
+
+
+def _ginibre(gauss) -> np.ndarray:
+    """``ginibre_states`` before validation."""
+    z = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]
+    m = z @ _adjoint(z)
+    return _hermitize(m / _trace(m).real[..., None, None])
 
 
 def ginibre_states(gauss) -> np.ndarray:
@@ -211,9 +235,7 @@ def ginibre_states(gauss) -> np.ndarray:
     of a complex Gaussian ``G`` of shape ``(d, r)``, so the result has rank
     ``r`` and shape ``(..., d, d)``.
     """
-    z = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]
-    m = z @ _adjoint(z)
-    return validate_density_stack(_hermitize(m / _trace(m).real[..., None, None]))
+    return validate_density_stack(_ginibre(gauss))
 
 
 def haar_unitaries(gauss) -> np.ndarray:
@@ -385,9 +407,14 @@ def bloch_from_density(rho: DensityMatrix) -> BlochVector:
     )
 
 
+def _ket_bra(a: np.ndarray) -> np.ndarray:
+    """|a><a| for vectors ``(..., d)``."""
+    return a[..., :, None] * a.conj()[..., None, :]
+
+
 def _outer(a: np.ndarray) -> np.ndarray:
     """|a><a| / <a|a> for vectors ``(..., d)``; not validated."""
-    m = a[..., :, None] * a.conj()[..., None, :]
+    m = _ket_bra(a)
     return m / _trace(m).real[..., None, None]
 
 
@@ -395,21 +422,37 @@ def projector_stack(amplitudes) -> np.ndarray:
     """Validated rank-1 density matrices |psi><psi|, batched.
 
     ``amplitudes`` has shape ``(..., d)``, each vector of unit norm within
-    ``TOL``; the result is ``(..., d, d)``.
+    ``TOL``; the result is ``(..., d, d)``.  It is ``validate_density_stack``
+    of the projectors, bit for bit, without an eigensolve (``_projectors``).
     """
-    return validate_density_stack(_unit_outer(amplitudes))
+    return _projectors(np.asarray(amplitudes, dtype=complex), _outer)
 
 
-def _unit_outer(amplitudes) -> np.ndarray:
-    """|psi><psi| of vectors ``(..., d)``, each of unit norm within ``TOL``; not validated."""
-    a = np.asarray(amplitudes, dtype=complex)
+def _projectors(vectors: np.ndarray, outer) -> np.ndarray:
+    """Validated rank-1 density matrices ``outer(v)`` of vectors ``(..., d)``.
+
+    Each vector must be finite with unit norm within ``TOL``, and each
+    matrix must pass ``_check_plain`` (finite, Hermitian, unit trace).  No
+    eigenvalue check runs: in Frobenius norm, the rounded ``v_i conj(v_j)``
+    lies within ``2 sqrt(2) u |v|^2`` of the positive ``|v><v|``, plus
+    ``u |v|^2`` for ``_outer``'s trace division (u = eps / 2; Higham,
+    Lemma 3.5).  By Weyl's inequality its lowest eigenvalue is then above
+    ``-1.9 eps``, while ``-linalg.roundoff_tol`` is ``-d eps`` (at
+    ``lambda_max = 1``), at most ``-2 eps``.  So ``validate_density_stack``
+    could neither reject nor clamp these matrices and would store them as
+    they are.  The Hermiticity check stays, so that this does not rest on
+    how complex products round.
+    """
     # An infinite amplitude makes the norm inf (or NaN): rejected below, silently.
     with np.errstate(invalid="ignore", over="ignore"):
-        nrm = np.linalg.norm(a, axis=-1)
+        nrm = np.linalg.norm(vectors, axis=-1)
     i = _first(~(np.abs(nrm - 1.0) <= TOL))  # NaN fails too
     if i is not None:
         raise InvalidState(f"amplitude vector has norm {nrm.flat[i]:.12g}, expected 1")
-    return _outer(a)
+    m = np.asarray(outer(vectors), dtype=complex)
+    _check_plain(m)
+    m.setflags(write=False)
+    return m
 
 
 def projector(psi: PureState) -> DensityMatrix:

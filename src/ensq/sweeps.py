@@ -69,6 +69,8 @@ def parse_grid(text: str) -> list[float]:
     Every number must be finite, and a range may hold at most
     ``MAX_GRID_POINTS`` points.  The last point is snapped to ``stop`` when
     float accumulation overshoots it, so ``0:1:0.01`` ends exactly at 1.0.
+    The points must strictly increase: a step below the float spacing of
+    the range, which would round points together, is rejected.
     """
     parts = text.strip().split(":")
     try:
@@ -94,6 +96,11 @@ def parse_grid(text: str) -> list[float]:
     values = [start + i * step for i in range(int(math.floor(span)) + 1)]
     if values[-1] > stop:
         values[-1] = stop
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ParamOutOfRange(
+            f"grid {text!r}: points do not strictly increase"
+            f" (step {step} is below the float spacing of the range)"
+        )
     return values
 
 

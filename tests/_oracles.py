@@ -93,3 +93,47 @@ def random_hermitian(dim: int, rng) -> np.ndarray:
 
 def random_complex(dim: int, rng) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+# The property harness's trial stream, as first written: trial t of a run
+# draws these fields, in this order, from default_rng([seed, t]).  Any
+# rewrite of the harness's draws must reproduce every field bit for bit.
+
+
+def draw_ensemble(rng, dim: int, members: int, allow_zero_prob: bool = False):
+    """Random numbers for one Ginibre ensemble: raw weights, per-member Gaussians."""
+    probs = rng.random(members)
+    if allow_zero_prob and members >= 3 and rng.random() < 0.2:
+        probs[int(rng.integers(members))] = 0.0
+    gauss = [rng.standard_normal((2, dim, int(rng.integers(1, dim + 1)))) for _ in range(members)]
+    return probs, gauss
+
+
+def random_partition(n: int, probs: np.ndarray, rng) -> tuple:
+    """Blocks of a random partition into contiguous chunks of a shuffled index list."""
+    for _ in range(20):
+        order = rng.permutation(n)
+        nblocks = int(rng.integers(1, n + 1))
+        cuts = sorted(rng.choice(np.arange(1, n), size=nblocks - 1, replace=False)) if nblocks > 1 else []
+        bounds = [0, *cuts, n]
+        blocks = tuple(tuple(int(i) for i in order[a:b]) for a, b in zip(bounds, bounds[1:]))
+        if all(sum(float(probs[i]) for i in blk) > 0.0 for blk in blocks):
+            return blocks
+    return (tuple(range(n)),)
+
+
+def draw_trial(seed: int, t: int, dim: int, members: int) -> tuple:
+    """(ensemble, classical, unitary, other, lam, target, partition blocks) of trial t."""
+    rng = np.random.default_rng([seed, t])
+    ensemble = draw_ensemble(rng, dim, members, allow_zero_prob=True)
+    classical = (
+        rng.standard_normal((2, dim, dim)),
+        rng.random(members),
+        rng.random((members, dim)),
+    )
+    unitary = rng.standard_normal((2, dim, dim))
+    other = draw_ensemble(rng, dim, members)
+    lam = rng.random(2)
+    target = int(rng.integers(members))
+    partition = random_partition(members, ensemble[0], rng)
+    return ensemble, classical, unitary, other, lam, target, partition

@@ -23,7 +23,7 @@ from ensq.measures import pure_pair_quantumness
 from ensq.states import (
     DensityMatrix,
     density_from_bloch_stack,
-    _unit_outer,
+    _outer,
     projector_stack,
     random_density_matrix,
     random_unitary,
@@ -150,6 +150,54 @@ def test_parse_grid():
                 "-1e308:1e308:1"):
         with pytest.raises(ParamOutOfRange):
             parse_grid(bad)
+    # A step below the float spacing of the range would repeat points.
+    for bad in ("1e17:1.0000000000000005e17:1", "0.5:0.5000000000000004:1e-17"):
+        with pytest.raises(ParamOutOfRange, match="strictly increase"):
+            parse_grid(bad)
+    assert parse_grid("1e17:1.0000000000000005e17:16") == [1e17 + 16 * i for i in range(4)]
+
+
+def _number_text():
+    numbers = st.floats() | st.integers(-(10**20), 10**20) | st.sampled_from([1e-17, 5e-324])
+    return numbers.map(repr) | st.text(alphabet="0123456789.e-+ naif_", max_size=8)
+
+
+def _tight_range(start, points, step, spacing):
+    """start:stop:step text of about ``points`` points, the step near the
+    float spacing of the range when ``spacing`` is set."""
+    if spacing:
+        step = math.ulp(start) * step
+    return f"{start!r}:{start + points * step!r}:{step!r}"
+
+
+GRID_TEXTS = (
+    st.text(max_size=30)
+    | st.lists(_number_text(), min_size=1, max_size=4).map(":".join)
+    | st.builds(
+        _tight_range,
+        st.floats(-1e300, 1e300),
+        st.integers(0, 2000),
+        st.floats(1e-3, 1e3),
+        st.booleans(),
+    )
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(GRID_TEXTS)
+def test_parse_grid_returns_an_increasing_grid_or_rejects_the_text(text):
+    # Any text either raises ParamOutOfRange or gives a grid that starts at
+    # start, strictly increases, ends at or below stop and is not too long.
+    try:
+        values = parse_grid(text)
+    except ParamOutOfRange:
+        return
+    numbers = [float(x) for x in text.split(":")]
+    start, stop = numbers[0], numbers[len(numbers) // 2]
+    assert values[0] == start
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert values[-1] <= stop
+    assert 1 <= len(values) <= MAX_GRID_POINTS
 
 
 def test_cli_compute_prints_twelve_decimals(tmp_path, capsys):
@@ -597,7 +645,7 @@ def unvalidated_states(text):
     for m in json.loads(text)["members"]:
         key = "rho" if "rho" in m else "psi"
         values = np.array(m[key], dtype=float).view(complex)[..., 0]
-        out.append(values if key == "rho" else _unit_outer(values))
+        out.append(values if key == "rho" else _outer(values))
     return np.array(out)
 
 
@@ -629,6 +677,7 @@ def test_load_and_compute_eigendecompose_each_member_once_from_d_8(tmp_path, mon
     e = io.load_ensemble(path)
     quantumness(e, NormSpec.trace())
     # Kept-eigenvalue ranks: a full-rank state has no repeated eigenvalue.
+    # The three psi members come last; their factors are their amplitudes.
     ranks = [1, 1, 3, 3, 3, dim - 1, dim - 1, dim - 1, 1, 1, 1]
     assert e.factors[0].tolist() == ranks
     # Each pair's commutator: d x d on the dense route, k x k on the low-rank
@@ -645,7 +694,8 @@ def test_load_and_compute_eigendecompose_each_member_once_from_d_8(tmp_path, mon
         for (a, b), skip in zip(itertools.combinations(ranks, 2), overlap)
         if not skip
     )
-    assert +counts == {("eigh", "member", dim): len(ranks), **pairs}
+    # One eigh per rho member; none for the psi members.
+    assert +counts == {("eigh", "member", dim): len(ranks) - 3, **pairs}
 
 
 def test_load_and_compute_below_d_8_keep_their_eigensolves(tmp_path, monkeypatch):
@@ -671,9 +721,10 @@ def test_load_and_compute_below_d_8_keep_their_eigensolves(tmp_path, monkeypatch
     quantumness(e, NormSpec.trace())
     assert e.factors is None
     m = len(raw)
+    # The two psi members' projectors are valid by construction: no eigvalsh.
     assert +counts == {
         ("eigh", "member", 4): clamped,
-        ("eigvalsh", "member", 4): m,
+        ("eigvalsh", "member", 4): m - 2,
         ("eigvalsh", "pair", 4): m * (m - 1) // 2,
     }
 
@@ -711,13 +762,15 @@ def test_eigh_loaded_ensembles_match_the_plain_parse_and_the_oracle(tmp_path, na
     assert e.state_stack.tobytes() == stack.tobytes()
     assert e.probabilities.tobytes() == probs.tobytes()
     # A clamped member's factors come from the eigenpairs of the loader's
-    # repair, not from eigh of the repaired matrix: equal up to round-off.
+    # repair, not from eigh of the repaired matrix, and a psi member's from
+    # its amplitudes, not from eigh of its projector: equal up to round-off.
     clamped = [a.tobytes() != b.tobytes() for a, b in zip(stack, unvalidated_states(text))]
+    psi = '"psi"' in text
     for spec in (NormSpec.trace(), NormSpec.frobenius(), NormSpec.spectral(),
                  NormSpec.schatten(3.0), NormSpec.kyfan(2)):
         got = quantumness(e, spec)
         fresh = quantumness_batch(e.probabilities[None], e.state_stack[None], spec)[0]
-        if any(clamped):
+        if any(clamped) or psi:
             assert got == pytest.approx(fresh, rel=1e-14, abs=0.0)
         else:
             assert got == fresh
@@ -943,6 +996,10 @@ EXIT_CODES = {
     "sweep-bad-grid": (["sweep", "overlap", "--c", "abc", "--out", "{tmp}/o.csv"], 2),
     "sweep-out-of-range": (["sweep", "overlap", "--p1", "1.5", "--out", "{tmp}/o.csv"], 2),
     "sweep-missing-dir": (["sweep", "overlap", "--out", "{tmp}/no/o.csv"], 2),
+    "sweep-repeating-grid": (
+        ["sweep", "overlap", "--c", "0.5:0.5000000000000004:1e-17", "--p1", "0.5", "--out",
+         "{tmp}/o.csv"], 2
+    ),
     "check-properties": (
         ["check-properties", "--dim", "2", "--members", "2", "--trials", "5", "--seed", "1"], 0
     ),

@@ -1,5 +1,6 @@
 """Property harness: a batched run and its single-trial replays agree exactly,
-and the pair norms it shares between ensembles change no bit."""
+the pair norms it shares between ensembles change no bit, and every trial
+draws the reference stream of ``_oracles.draw_trial``."""
 
 import re
 
@@ -20,6 +21,7 @@ from ensq.harness import (
     _build_ensembles,
     _classicality_fails,
     _draw_ensemble,
+    _trial_draws,
     _union_values,
     _variant_values,
     check_properties,
@@ -27,7 +29,9 @@ from ensq.harness import (
 )
 from ensq.linalg import NormSpec
 from ensq.measures import plus_state
-from ensq.states import PureState, eigenprojectors, projector
+from ensq.states import PureState, eigenprojectors, projector, validate_density_stack
+
+from _oracles import draw_trial
 
 CASES = [
     (2, 2, NormSpec.schatten(3.0)),
@@ -118,10 +122,11 @@ def test_spliced_union_and_variant_values_equal_the_plain_kernel_bit_for_bit(dim
     rng = np.random.default_rng([31, dim])
     n, members = 12, 3
     probs, states = _build_ensembles(
-        [_draw_ensemble(rng, dim, members, allow_zero_prob=True) for _ in range(n)], dim
+        [_draw_ensemble(rng, dim, members, allow_zero_prob=True) for _ in range(n)], dim,
+        validate_density_stack,
     )
     o_probs, o_states = _build_ensembles(
-        [_draw_ensemble(rng, dim, members) for _ in range(n)], dim
+        [_draw_ensemble(rng, dim, members) for _ in range(n)], dim, validate_density_stack
     )
     lam = rng.random((n, 2))
     lam = lam / lam.sum(axis=1, keepdims=True)
@@ -149,3 +154,24 @@ def test_property_suite_holds_at_d_16(spec):
     report = check_properties(16, 3, trials=50, seed=16, spec=spec)
     assert report.all_passed(), report.render()
     assert report.worst_slack() <= 1e-9
+
+
+def _ensemble_bytes(draw):
+    probs, gauss = draw
+    return [probs.tobytes(), *(g.tobytes() for g in gauss), *(g.shape for g in gauss)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+@pytest.mark.parametrize("members", [2, 3, 4, 6])
+def test_trial_draws_match_the_reference_stream_field_by_field(dim, members):
+    trials = range(300)
+    for t, got in zip(trials, _trial_draws(dim, members, 23, trials)):
+        ensemble, classical, unitary, other, lam, target, blocks = draw_trial(23, t, dim, members)
+        assert _ensemble_bytes(got.ensemble) == _ensemble_bytes(ensemble), t
+        assert [a.tobytes() for a in got.classical] == [a.tobytes() for a in classical], t
+        assert got.unitary.tobytes() == unitary.tobytes(), t
+        assert _ensemble_bytes(got.other) == _ensemble_bytes(other), t
+        assert got.lam.tobytes() == lam.tobytes(), t
+        assert type(got.target) is int and got.target == target, t
+        assert got.partition.blocks == blocks, t
+        assert all(type(i) is int for blk in got.partition.blocks for i in blk), t

@@ -1,6 +1,7 @@
 """States, channels, Bloch geometry, and random generation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -410,7 +411,7 @@ def test_projectors_validate_without_a_clamp_eigh(dim, monkeypatch):
     rng = np.random.default_rng([98, dim])
     z = rng.standard_normal((20, dim)) + 1j * rng.standard_normal((20, dim))
     amplitudes = z / np.linalg.norm(z, axis=1, keepdims=True)
-    raw = states._unit_outer(amplitudes)
+    raw = states._outer(amplitudes)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
@@ -425,3 +426,96 @@ def test_projectors_validate_without_a_clamp_eigh(dim, monkeypatch):
     assert calls == [(1, dim, dim)]
     assert got[:-1].tobytes() == raw.tobytes()
     assert np.linalg.eigvalsh(got[-1])[0] > -1e-15
+
+
+@st.composite
+def unit_vector_stacks(draw):
+    """Unit vectors ``(n, d)``: eigenvectors of Ginibre states, or adversarial
+    ones (one dominant entry over tiny ones, or entries of equal modulus)."""
+    d = draw(st.sampled_from([2, 3, 4, 8, 16, 64]))
+    kind = draw(st.sampled_from(["ginibre", "dominant", "equal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 4
+    if kind == "ginibre":
+        rank = draw(st.integers(1, d))
+        rho = states.ginibre_states(rng.standard_normal((2, 2, d, rank)))
+        return np.swapaxes(np.linalg.eigh(rho)[1], -1, -2).reshape(-1, d)
+    if kind == "dominant":
+        lo = draw(st.floats(-154.0, -8.0))
+        hi = draw(st.floats(lo, -8.0))
+        mag = 10.0 ** rng.uniform(lo, hi, (n, d))
+        mag[np.arange(n), rng.integers(d, size=n)] = 1.0
+    else:
+        mag = np.ones((n, d))
+    if draw(st.booleans()):
+        phase = np.exp(2j * np.pi * rng.random((n, d)))
+    else:
+        phase = rng.choice([1.0, -1.0], (n, d))
+    v = mag * phase
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_vector_stacks())
+@example(np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1j]]) / math.sqrt(2.0))
+@example(np.array([[1.0, 1e-154, 1e-8, 1e-100]]))
+def test_projectors_by_construction_equal_validate_density_stack_bit_for_bit(vectors):
+    # No eigenvalue check runs, yet the eigenvalue check could neither have
+    # rejected nor clamped any of these: both outer products come out as
+    # validate_density_stack stores them.
+    for outer in (states._ket_bra, states._outer):
+        got = states._projectors(vectors, outer)
+        assert not got.flags.writeable
+        assert got.tobytes() == states.validate_density_stack(outer(vectors)).tobytes()
+    assert states.projector_stack(vectors).tobytes() == states._projectors(
+        vectors.astype(complex), states._outer
+    ).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad,norm",
+    [
+        ([math.nan, 0.0], "nan"),
+        ([1.0, math.inf], "inf"),
+        ([-math.inf, 0.0], "inf"),
+        ([math.inf, 1j * math.inf], "nan"),  # 1j * inf is nan + inf j
+        ([1.0, 1.0], "1.41421356237"),
+        ([1.0 + 2e-10, 0.0], "1.0000000002"),
+    ],
+)
+def test_projectors_reject_bad_vectors_with_the_amplitude_message(bad, norm):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for outer in (states._ket_bra, states._outer):
+            with pytest.raises(InvalidState) as exc:
+                states._projectors(np.array([[1.0, 0.0], bad]), outer)
+            assert str(exc.value) == f"amplitude vector has norm {norm}, expected 1"
+
+
+def test_projectors_keep_the_trace_check_of_the_validator():
+    # A norm within TOL of 1 can still give |v><v| a trace more than TOL off.
+    v = np.array([[1.0 + 0.9e-10, 0.0]])
+    want = "density matrix trace 1.00000000018+0j is not 1"
+    with pytest.raises(InvalidState, match=re.escape(want)):
+        states.validate_density_stack(states._ket_bra(v))
+    with pytest.raises(InvalidState, match=re.escape(want)):
+        states._projectors(v, states._ket_bra)
+
+
+def test_eigenprojectors_of_validated_eigenpairs_run_no_eigensolve(monkeypatch):
+    rng = np.random.default_rng(99)
+    raw = states._ginibre(rng.standard_normal((5, 3, 2, 4, 2)))
+    validated, w, v = states._validate_density_eigh(raw)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    got = states._eigenprojectors(validated, (w, v))
+    assert calls == []
+    want = states._eigenprojectors(validated)
+    assert calls == ["eigh"]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
