@@ -4,7 +4,8 @@ Subcommands: ``compute`` (quantumness of an ensemble file), ``sweep``
 (closed form vs matrix pipeline over parameter grids), ``check-properties``
 (randomized property suite), ``examples`` (worked-example artifacts), and
 ``random`` (seeded random ensemble files).  Exit codes: 0 success, 1
-property or agreement violation, 2 usage or parse error.
+property or agreement violation, 2 usage or parse error, or a run too large
+for memory.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .ensemble import Ensemble, quantumness
 from .errors import EnsqError, ParamOutOfRange
 from .harness import check_properties
 from .linalg import InvalidNormSpec, NormSpec
-from .states import random_density_matrix
+from .states import _random_density_stack
 
 
 def _norm_spec(text: str) -> NormSpec:
@@ -89,9 +90,8 @@ def cmd_random(args) -> int:
     probs = rng.random(args.members)
     probs = probs / probs.sum()
     rank = args.rank if args.rank is not None else args.dim
-    states = [random_density_matrix(args.dim, rank, rng) for _ in range(args.members)]
-    e = Ensemble(tuple(zip(probs, states)))
-    io.save_ensemble(args.out, e)
+    states = _random_density_stack((args.members,), args.dim, rank, rng)
+    io.save_ensemble(args.out, Ensemble.from_stack(probs, states))
     print(f"wrote {args.out}")
     return 0
 
@@ -158,11 +158,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EnsqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EnsqError, OSError, MemoryError) as exc:
+        # numpy names the allocation it could not make; a bare MemoryError says nothing.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

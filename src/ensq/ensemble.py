@@ -116,23 +116,22 @@ class Ensemble:
     """An ordered collection of (probability, density matrix) members.
 
     Stored as two read-only arrays, ``probabilities`` ``(m,)`` and
-    ``state_stack`` ``(m, d, d)``, and optional per-member ``factors``;
+    ``state_stack`` ``(m, d, d)``, and read-only ``factors`` or None;
     ``members``, ``states`` and iteration are derived from the arrays.
     Probabilities must be nonnegative and sum to one within ``TOL``;
     members with zero probability are kept (they contribute nothing to the
     quantumness) and duplicates are not merged.  Raw arrays are accepted in
     place of ``DensityMatrix`` and validated together in one batch.
 
-    ``factors`` are the members' low-rank factors (``_factors_from_eigh``:
-    ranks, shifted eigenvalues, vectors), read-only, handed over by a
-    source that already has them (from an eigendecomposition, or from a
-    pure member's amplitudes), so that ``quantumness`` runs no member
-    ``eigh`` of its own.  Two sources supply factors:
-    ``io.load_ensemble`` (for d >= 8) on the ``Ensemble``,
-    and the property harness, which hands the kernel the factors of its
-    fine-grained eigenprojectors (``_rank_one_factors``, at every d)
-    without building an ``Ensemble``.  Every other constructor and
-    transform leaves them None.
+    ``factors`` (``_factors_from_eigh``: ranks, shifted eigenvalues,
+    vectors) are handed over by a source that already has them, from an
+    eigendecomposition or from a pure member's amplitudes, so that
+    ``quantumness`` runs no member ``eigh`` of its own.  Two sources supply
+    them, at every d: ``io.load_ensemble``, on every ``Ensemble`` it
+    returns, and the property harness, which hands the kernel the factors
+    of its fine-grained eigenprojectors (``_rank_one_factors``) without
+    building an ``Ensemble``.  Every other constructor and transform
+    leaves them None.
     """
 
     probabilities: np.ndarray
@@ -159,11 +158,12 @@ class Ensemble:
 
     @classmethod
     def from_stack(cls, probabilities, states, factors=None) -> "Ensemble":
-        """Ensemble over ``states`` ``(m, d, d)`` already passed by
-        ``validate_density_stack``; only the probabilities are checked.
-        ``factors``, if given, must be ``_factors_from_eigh`` of the
-        eigenpairs of ``states``, or, for rank-1 projectors,
-        ``_rank_one_factors`` of their unit vectors."""
+        """Ensemble over ``states`` ``(m, d, d)`` already validated, by
+        ``validate_density_stack`` or a stack form that runs its checks;
+        only the probabilities are checked.  ``factors``, if given, must be
+        ``_factors_from_eigh`` of the eigenpairs of ``states``, or, for
+        rank-1 projectors, ``_rank_one_factors`` of their unit vectors,
+        member by member."""
         ensemble = object.__new__(cls)
         ensemble.__post_init__(probabilities, np.array(states, dtype=complex), factors)
         return ensemble
@@ -365,8 +365,9 @@ def _pair_norms(probs, states, spec: NormSpec, factors=None, known=None):
     """
     probs = np.asarray(probs, dtype=float)
     states = np.asarray(states)
-    owner, i, j, counts = _live_pairs(probs)
     m, d = probs.shape[1], states.shape[-1]
+    spec.check_dim(d)  # even when no pair is live
+    owner, i, j, counts = _live_pairs(probs)
     members = states.reshape(-1, d, d)
     if known is None:
         norms = np.full(len(owner), np.nan)
@@ -409,9 +410,11 @@ def _weighted_sums(probs: np.ndarray, pairs) -> np.ndarray:
 def quantumness_batch(probs, states, spec: NormSpec, factors=None) -> np.ndarray:
     """Quantumness of each ensemble in a stack; see :func:`quantumness`.
 
-    ``factors`` are the low-rank factors of the batch-flattened members
-    (see ``_pair_norms``); when None, members below d = 8 take none and
-    every pair is dense.
+    ``factors`` are the low-rank factors of the batch-flattened members,
+    as ``Ensemble.factors`` holds them (a loaded ensemble's, at every d).
+    When None, the kernel eigendecomposes the members of its pairs from
+    d = 8 (``LOW_RANK_MIN_DIM``) on; below it, every pair is dense.  A Ky
+    Fan order above d raises ``InvalidNormSpec``, live pairs or not.
     """
     probs = np.asarray(probs, dtype=float)
     return _weighted_sums(probs, _pair_norms(probs, states, spec, factors))

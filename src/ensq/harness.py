@@ -332,16 +332,17 @@ class PropertyResult:
     worst_trial: int = -1
     failed_trials: list = field(default_factory=list)
 
-    def record(self, trial: int, violation: float, slack: float) -> None:
-        if violation > self.worst_slack:
-            self.worst_slack = violation
-            self.worst_trial = trial
-        if violation <= slack:
-            self.passes += 1
-        else:
-            self.failures += 1
-            if len(self.failed_trials) < 20:
-                self.failed_trials.append((trial, violation))
+    @classmethod
+    def from_column(cls, name: str, violations: np.ndarray, slack: float) -> "PropertyResult":
+        """Summary of one property's violations ``(T,)``: a trial passes at
+        violation <= ``slack`` (a NaN fails), the worst is the first maximum
+        (never a NaN), and ``failed_trials`` holds the first 20 failures."""
+        failed = np.flatnonzero(~(violations <= slack))
+        ranked = np.where(np.isnan(violations), -math.inf, violations)
+        t = int(np.argmax(ranked))
+        worst = (float(ranked[t]), t) if ranked[t] > -math.inf else (-math.inf, -1)
+        first = list(zip(failed[:20].tolist(), violations[failed[:20]].tolist()))
+        return cls(name, len(violations) - len(failed), len(failed), *worst, first)
 
 
 @dataclass
@@ -439,10 +440,10 @@ def check_properties(
         values[chunk.start : chunk.stop], violations[chunk.start : chunk.stop] = _run_trials(
             dim, members, spec, seed, chunk, slack
         )
-    results = [PropertyResult(name) for name in PROPERTY_NAMES]
-    for t, row in enumerate(violations.tolist()):
-        for r, violation in zip(results, row):
-            r.record(t, violation, slack)
+    results = [
+        PropertyResult.from_column(name, column, slack)
+        for name, column in zip(PROPERTY_NAMES, violations.T)
+    ]
     return RunReport(
         command=command,
         seed=seed,

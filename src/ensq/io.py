@@ -20,17 +20,14 @@ parse makes no reference cycles), drops the file text, then builds one
 ``(m, dim, dim)`` stack and one validated stack form per member kind;
 every diagnostic names the offending member.
 
-Eigensolves: ``psi`` members take none at any d: their projectors are
-valid by construction (``states.projector_stack``), and from d = 8 on
+Eigensolves, the same at every d: ``psi`` members take none, since their
+projectors are valid by construction (``states.projector_stack``) and
 their low-rank factors are their normalized amplitudes (rank 1,
-lambda 1).  Below d = 8, validation runs one ``eigvalsh`` per ``rho`` or
-``bloch`` member (``validate_density_stack``) and one ``eigh`` per
-clamped member, that is per member whose lowest eigenvalue lies below
-``-linalg.roundoff_tol``; a member negative only within round-off is
-stored as written.  From d = 8 on, ``rho`` members are validated from one
-``eigh`` each (``states._validate_density_eigh``), whose eigenpairs
-become the ``Ensemble``'s low-rank factors.  ``quantumness`` of the
-loaded ensemble then runs no member eigensolve of its own, only the
+lambda 1).  ``rho`` members, and ``bloch`` members once they pass the
+Bloch-ball check, are validated from one ``eigh`` each
+(``states._validate_density_eigh``), whose eigenpairs become their
+low-rank factors.  So every loaded ``Ensemble`` carries factors, and
+``quantumness`` of it runs no member eigensolve of its own, only the
 commutator ``eigvalsh`` of its dense-route and low-rank pairs.
 """
 
@@ -42,14 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import LOW_RANK_MIN_DIM, Ensemble, _factors_from_eigh, _rank_one_factors
+from .ensemble import Ensemble, _factor_columns, _factors_from_eigh, _rank_one_factors
 from .errors import EnsembleFileError, EnsqError
-from .states import (
-    _validate_density_eigh,
-    density_from_bloch_stack,
-    projector_stack,
-    validate_density_stack,
-)
+from .states import _bloch_matrices, _validate_density_eigh, projector_stack
 
 __all__ = ["load_ensemble", "save_ensemble", "ensemble_to_payload"]
 
@@ -120,41 +112,34 @@ def _member_states(idx: list, make, values) -> np.ndarray:
 
 def _validated_states(members: list, kinds: dict, dim: int) -> tuple:
     """Validated ``(m, dim, dim)`` stack of every member's state, and its
-    low-rank factors (None below ``LOW_RANK_MIN_DIM``)."""
-    factored = dim >= LOW_RANK_MIN_DIM
+    low-rank factors (``Ensemble.factors``)."""
     parts = []  # (members, states, factors)
     idx = kinds["rho"]
     if idx:
         what = f"a {dim}x{dim} matrix of [re, im] pairs"
         rho = _complex(_kind_stack(members, idx, "rho", (dim, dim, 2), what))
-        if factored:
-            states, w, v = _member_states(idx, _validate_density_eigh, rho)
-            parts.append((idx, states, _factors_from_eigh(w, v)))
-        else:
-            parts.append((idx, _member_states(idx, validate_density_stack, rho), None))
+        states, w, v = _member_states(idx, _validate_density_eigh, rho)
+        parts.append((idx, states, _factors_from_eigh(w, v)))
     idx = kinds["psi"]
     if idx:
         amps = _complex(_kind_stack(members, idx, "psi", (dim, 2), f"{dim} [re, im] amplitudes"))
         states = _member_states(idx, projector_stack, amps)
-        factors = None
-        if factored:  # rank 1, lambda 1, the normalized amplitudes: no eigh
-            factors = _rank_one_factors(amps / np.linalg.norm(amps, axis=-1, keepdims=True))
-        parts.append((idx, states, factors))
-    idx = kinds["bloch"]  # dim 2 only, so never factored
+        # Rank 1, lambda 1, the normalized amplitudes: no eigh.
+        unit = amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+        parts.append((idx, states, _rank_one_factors(unit)))
+    idx = kinds["bloch"]
     if idx:
         r = _kind_stack(members, idx, "bloch", (3,), "[x, y, z]")
-        parts.append((idx, _member_states(idx, density_from_bloch_stack, r), None))
+        raw = _member_states(idx, _bloch_matrices, r)
+        states, w, v = _member_states(idx, _validate_density_eigh, raw)
+        parts.append((idx, states, _factors_from_eigh(w, v)))
     # Allocated last, so that it is not held while a kind is validated.
-    stack = np.empty((len(members), dim, dim), dtype=complex)
-    for idx, states, _ in parts:
-        stack[idx] = states
-    if not factored:
-        return stack, None
-    ranks = np.empty(len(members), dtype=int)
-    shifted = np.empty((len(members), dim // 4))
-    vecs = np.empty((len(members), dim, dim // 4), dtype=complex)
-    for idx, _, (r, lam, vec) in parts:
-        ranks[idx], shifted[idx], vecs[idx] = r, lam, vec
+    m, c = len(members), _factor_columns(dim)
+    stack = np.empty((m, dim, dim), dtype=complex)
+    ranks, shifted = np.empty(m, dtype=int), np.empty((m, c))
+    vecs = np.empty((m, dim, c), dtype=complex)
+    for idx, states, (r, lam, vec) in parts:
+        stack[idx], ranks[idx], shifted[idx], vecs[idx] = states, r, lam, vec
     return stack, (ranks, shifted, vecs)
 
 
@@ -204,17 +189,14 @@ def load_ensemble(path) -> Ensemble:
         raise EnsembleFileError(f"{path}: {exc}") from exc
 
 
-def _pairs(matrix: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in matrix]
-
-
 def ensemble_to_payload(ensemble: Ensemble) -> dict:
     """JSON-ready dict with every member stored as an explicit rho matrix."""
+    m, d = len(ensemble), ensemble.dim
+    pairs = np.ascontiguousarray(ensemble.state_stack).view(float).reshape(m, d, d, 2)
     return {
-        "dim": ensemble.dim,
+        "dim": d,
         "members": [
-            {"p": p, "rho": _pairs(s)}
-            for p, s in zip(ensemble.probabilities.tolist(), ensemble.state_stack)
+            {"p": p, "rho": rho} for p, rho in zip(ensemble.probabilities.tolist(), pairs.tolist())
         ],
     }
 

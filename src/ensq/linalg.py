@@ -225,6 +225,11 @@ class NormSpec:
             return cls.kyfan(k)
         raise InvalidNormSpec(f"unrecognized norm {text!r}")
 
+    def check_dim(self, dim: int) -> None:
+        """Reject a Ky Fan order above ``dim``, the number of singular values."""
+        if self.kind == "kyfan" and self.k > dim:
+            raise InvalidNormSpec(f"kyfan order {self.k} exceeds dimension {dim}")
+
     def label(self) -> str:
         """Canonical string form; ``NormSpec.parse`` round-trips it."""
         if self.kind == "kyfan":
@@ -256,6 +261,7 @@ def norm_from_singular_values(s: np.ndarray, spec: NormSpec):
     """
     s = np.ascontiguousarray(s, dtype=float)
     n = s.shape[-1]
+    spec.check_dim(n)
     rows = s.reshape(-1, n)
     if spec.kind == "schatten":
         if math.isinf(spec.p):
@@ -267,8 +273,6 @@ def norm_from_singular_values(s: np.ndarray, spec: NormSpec):
             scaled = rows / np.where(top > 0.0, top, 1.0)
             v = top[:, 0] * np.sum(scaled**spec.p, axis=-1) ** (1.0 / spec.p)
     else:
-        if spec.k > n:
-            raise InvalidNormSpec(f"kyfan order {spec.k} exceeds dimension {n}")
         v = np.sum(rows[:, : spec.k], axis=-1)
     return float(v[0]) if s.ndim == 1 else v.reshape(s.shape[:-1])
 

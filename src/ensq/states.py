@@ -152,14 +152,11 @@ def validate_density_stack(stack) -> np.ndarray:
 
     Eigensolves: one ``eigvalsh`` per matrix, plus one ``eigh`` per matrix
     that is clamped; rank-deficient states (low-rank Ginibre states) whose
-    zero eigenvalues come out at about ``-1e-16`` take no ``eigh``.  Two
-    kinds of stack skip this solve.  Rank-1 projectors built from unit
-    vectors (``projector_stack``, ``eigenprojectors``) are valid by
-    construction and run none (``_projectors``).  A stack that needs its
-    eigenpairs anyway (``io.load_ensemble``'s ``rho`` members at d >= 8,
-    the property harness's ensembles) goes through
-    ``_validate_density_eigh``, which runs the same checks from one
-    ``eigh`` per matrix.
+    zero eigenvalues come out at about ``-1e-16`` take no ``eigh``.  Rank-1
+    projectors (``projector``, ``projector_stack``, ``eigenprojectors``)
+    are valid by construction and run none (``_projectors``).  A stack that
+    needs its eigenpairs anyway (``io.load_ensemble``'s, the property
+    harness's ensembles) goes through ``_validate_density_eigh`` instead.
     """
     m = _checked_copy(stack)
     clamp = _check_lowest(np.linalg.eigvalsh(m))
@@ -378,6 +375,11 @@ def density_from_bloch_stack(r) -> np.ndarray:
     ``r`` has shape ``(..., 3)``, and every vector must lie in the closed
     Bloch ball (length at most ``1 + TOL``); the result is ``(..., 2, 2)``.
     """
+    return validate_density_stack(_bloch_matrices(r))
+
+
+def _bloch_matrices(r) -> np.ndarray:
+    """``density_from_bloch_stack`` before validation; the Bloch-ball check runs."""
     r = np.asarray(r, dtype=float)
     if r.ndim == 0 or r.shape[-1] != 3:
         raise DimensionMismatch(f"Bloch vectors have 3 components, got shape {r.shape}")
@@ -386,7 +388,7 @@ def density_from_bloch_stack(r) -> np.ndarray:
     if i is not None:
         raise BlochOutOfBall(f"Bloch vector length {length.flat[i]:.12g} exceeds 1")
     x, y, z = (r[..., c, None, None] for c in range(3))
-    return validate_density_stack((np.eye(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0)
+    return (np.eye(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0
 
 
 def density_from_bloch(r) -> DensityMatrix:
@@ -456,8 +458,12 @@ def _projectors(vectors: np.ndarray, outer) -> np.ndarray:
 
 
 def projector(psi: PureState) -> DensityMatrix:
-    """Rank-1 density matrix |psi><psi|; ``PureState`` has checked the norm."""
-    return DensityMatrix(_outer(psi.amplitudes))
+    """Rank-1 density matrix |psi><psi|: ``projector_stack``'s matrix and
+    checks, without the norm check that ``PureState`` has already run."""
+    m = _outer(psi.amplitudes[None])
+    _check_plain(m)
+    m.setflags(write=False)
+    return _validated(m[0])
 
 
 def apply_channel_stack(channel: QuantumChannel, states) -> np.ndarray:
@@ -522,12 +528,17 @@ def random_pure_state(dim: int, rng) -> PureState:
 
 def random_density_matrix(dim: int, rank: int, rng) -> DensityMatrix:
     """Ginibre-random density matrix G G^dagger / trace with G of shape (dim, rank)."""
+    return _validated(_random_density_stack((), dim, rank, rng))
+
+
+def _random_density_stack(shape: tuple, dim: int, rank: int, rng) -> np.ndarray:
+    """An array ``shape`` of ``random_density_matrix`` states, from one draw of
+    the same random stream."""
     if dim < 1:
         raise ParamOutOfRange(f"dimension must be positive, got {dim}")
     if not 1 <= rank <= dim:
         raise ParamOutOfRange(f"rank must lie in 1..{dim}, got {rank}")
-    g = _as_generator(rng)
-    return _validated(ginibre_states(g.standard_normal((2, dim, rank))))
+    return ginibre_states(_as_generator(rng).standard_normal((*shape, 2, dim, rank)))
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:

@@ -4,24 +4,26 @@ import gc
 import itertools
 import json
 import math
+import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ensq import io
+from ensq import cli, io
 from ensq.cli import build_parser, main
-from ensq.ensemble import Ensemble, quantumness, quantumness_batch
+from ensq.ensemble import Ensemble, _pair_norms, quantumness, quantumness_batch
 from ensq.errors import EnsembleFileError, EnsqError, ParamOutOfRange
 from ensq.harness import check_properties
-from ensq.linalg import NormSpec, roundoff_tol
+from ensq.linalg import InvalidNormSpec, NormSpec, norm
 from ensq.measures import pure_pair_quantumness
 from ensq.states import (
-    DensityMatrix,
     density_from_bloch_stack,
     _outer,
     projector_stack,
@@ -700,35 +702,111 @@ def test_load_and_compute_eigendecompose_each_member_once_from_d_8(tmp_path, mon
     assert +counts == {("eigh", "member", dim): len(ranks) - 3, **pairs}
 
 
-def test_load_and_compute_below_d_8_keep_their_eigensolves(tmp_path, monkeypatch):
+def below_d_8_file(rng, name):
+    """Text of a d < 8 file: ``ensq random``'s, or one of mixed member kinds
+    whose members include multiples of the identity."""
+    if name.startswith("random"):
+        dim, rank = map(int, name.split()[1:])
+        return random_rho_text(rng, 6, dim, rank)
+    if name == "bloch":
+        r = [[0.0, 0.0, 0.0], [0.3, -0.2, 0.5], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]
+        return json.dumps({"dim": 2, "members": [{"p": 0.25, "bloch": v} for v in r]})
+    if name == "psi":
+        return ranked_file(rng, 4, [], pure=5)
+    dim = int(name.split()[1])  # "kinds <dim>"
+    text = ranked_file(rng, dim, [1, 2, dim], pure=2)
+    payload = json.loads(text)
+    for member in payload["members"]:
+        member["p"] *= 0.7
+    payload["members"] += [
+        rho_member(0.1, np.eye(dim) / dim),
+        rho_member(0.1, 0.5 * np.eye(dim) / dim + 0.5 * unit_projector(rng, dim)),
+        rho_member(0.1, np.eye(dim) / dim),
+    ]
+    if dim == 2:
+        payload["members"].append({"p": 0.0, "bloch": [0.0, 0.0, 0.0]})
+    return json.dumps(payload)
+
+
+def unit_projector(rng, dim):
+    a = unit_vectors(rng, 1, dim)[0]
+    return np.outer(a, a.conj())
+
+
+BELOW_D_8 = [f"random {d} {r}" for d in range(2, 8) for r in sorted({1, 2, d})]
+BELOW_D_8 += ["bloch", "psi", "kinds 2", "kinds 3", "kinds 5"]
+
+
+@pytest.mark.parametrize("name", BELOW_D_8)
+def test_loaded_ensembles_below_d_8_match_the_oracle(tmp_path, name):
+    text = below_d_8_file(np.random.default_rng([93, BELOW_D_8.index(name)]), name)
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    e = io.load_ensemble(path)
+    probs, stack = plain_parse_stack(text)
+    assert e.state_stack.tobytes() == stack.tobytes()
+    ranks = e.factors[0]
+    identity = [np.array_equal(s, np.eye(e.dim) / e.dim) for s in stack]
+    assert (ranks == 0).tolist() == identity
+    if name.startswith(("bloch", "kinds")):
+        assert any(identity)
+    for spec in (NormSpec.trace(), NormSpec.frobenius(), NormSpec.spectral(),
+                 NormSpec.schatten(3.0), NormSpec.kyfan(2)):
+        want = naive_quantumness(list(zip(probs.tolist(), stack)), spec)
+        assert quantumness(e, spec) == pytest.approx(want, rel=1e-12, abs=1e-14)
+        # A pair with a multiple of the identity commutes exactly.
+        owner, i, j, _, norms = _pair_norms(
+            e.probabilities[None], e.state_stack[None], spec, e.factors
+        )
+        with_identity = (ranks[i] == 0) | (ranks[j] == 0)
+        assert (norms[with_identity] == 0.0).all()
+
+
+def test_load_and_compute_below_d_8_eigendecompose_each_member_once(tmp_path, monkeypatch):
     rng = np.random.default_rng(96)
     payload = json.loads(ranked_file(rng, 4, [1, 1, 2, 2, 4, 4], pure=2))
     # One more member with an eigenvalue of -1e-12, far below round-off, so
-    # that the clamp (and its eigh) runs.
+    # that the clamp runs; it rebuilds the matrix from the same eigh.
     u = random_unitary(4, rng)
     negative = (u * [-1e-12, 0.2, 0.3, 0.5 + 1e-12]) @ u.conj().T
     for member in payload["members"]:
-        member["p"] *= 0.9
-    payload["members"].append(rho_member(0.1, negative))
-    text = json.dumps(payload)
-    path = tmp_path / "d4.json"
-    path.write_text(text)
-    raw = unvalidated_states(text)
-    # Clamped: a lowest eigenvalue below -roundoff_tol of the spectrum.
-    w = np.linalg.eigvalsh(raw)
-    clamped = int(np.count_nonzero(w[:, 0] < -roundoff_tol(w)))
-    assert clamped > 0
-    counts = count_eigensolves(monkeypatch)
-    e = io.load_ensemble(path)
-    quantumness(e, NormSpec.trace())
-    assert e.factors is None
-    m = len(raw)
-    # The two psi members' projectors are valid by construction: no eigvalsh.
-    assert +counts == {
-        ("eigh", "member", 4): clamped,
-        ("eigvalsh", "member", 4): m - 2,
-        ("eigvalsh", "pair", 4): m * (m - 1) // 2,
-    }
+        member["p"] *= 0.8
+    payload["members"] += [rho_member(0.1, negative), rho_member(0.1, np.eye(4) / 4)]
+    bloch = {"dim": 2, "members": [
+        {"p": 0.2, "bloch": [0.0, 0.0, 0.0]}, {"p": 0.2, "bloch": [0.0, 0.0, 1.0]},
+        {"p": 0.2, "bloch": [1.0, 0.0, 0.0]}, {"p": 0.2, "bloch": [0.0, 0.6, -0.8]},
+        {"p": 0.2, "psi": [[0.6, 0.0], [0.0, 0.8]]},
+    ]}
+    for dim, data in ((4, payload), (2, bloch)):
+        path = tmp_path / f"d{dim}.json"
+        path.write_text(json.dumps(data))
+        counts = count_eigensolves(monkeypatch)
+        e = io.load_ensemble(path)
+        quantumness(e, NormSpec.trace())
+        ranks = e.factors[0].tolist()
+        if dim == 4:  # a full-rank state has no repeated eigenvalue
+            assert ranks == [1, 1, 2, 2, 3, 3, 1, 1, 3, 0]
+            clamped = e.state_stack[8].tobytes() != unvalidated_states(json.dumps(data))[8].tobytes()
+            assert clamped
+        else:
+            assert ranks == [0, 1, 1, 1, 1]
+        # Every pair with a rank-0 member is zero, and two rank-1 members
+        # (projectors here) with |c|^2 = tr(P_a P_b) <= 1/2 take the overlap
+        # route; only the other pairs take the dense route's eigvalsh.
+        stack = e.state_stack
+        skipped = [
+            0 in (ranks[a], ranks[b])
+            or ranks[a] == ranks[b] == 1 and np.trace(stack[a] @ stack[b]).real <= 0.5
+            for a, b in itertools.combinations(range(len(ranks)), 2)
+        ]
+        assert 0 < sum(skipped) < len(skipped)
+        # One eigh per rho or bloch member, none for psi members and no
+        # member eigvalsh at all.
+        rho_or_bloch = sum("psi" not in m for m in data["members"])
+        assert +counts == {
+            ("eigh", "member", dim): rho_or_bloch,
+            ("eigvalsh", "pair", dim): len(skipped) - sum(skipped),
+        }
 
 
 def corpus_text(rng, name):
@@ -984,6 +1062,91 @@ def test_cli_random_bad_members_exits_2(tmp_path, capsys):
         assert main(["random", "--dim", "2", "--members", members, "--out", str(out)]) == 2
         assert "members" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "dim,members,rank,seed",
+    [(2, 1, 1, 0), (2, 5, None, 1), (3, 4, 2, 9), (4, 6, 1, 3), (5, 3, 5, 2), (7, 5, 3, 4),
+     (8, 10, 1, 5), (12, 6, None, 8), (16, 12, 3, 6), (24, 4, 24, 7)],
+)
+def test_cli_random_writes_the_member_by_member_file(tmp_path, capsys, dim, members, rank, seed):
+    out = tmp_path / "r.json"
+    argv = ["random", "--dim", str(dim), "--members", str(members), "--seed", str(seed)]
+    assert main([*argv, *(["--rank", str(rank)] if rank else []), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rng = np.random.default_rng(seed)
+    probs = rng.random(members)
+    probs = probs / probs.sum()
+    states = [random_density_matrix(dim, rank or dim, rng) for _ in range(members)]
+    io.save_ensemble(tmp_path / "want.json", Ensemble(tuple(zip(probs, states))))
+    assert out.read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 9.09 TiB for an array", ""])
+@pytest.mark.parametrize("command", ["check-properties", "random"])
+def test_cli_memory_error_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch, command,
+                                                      message):
+    # The failing allocation is simulated: a real one could succeed on paper
+    # (memory overcommit) and then exhaust the machine.
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    if command == "random":
+        monkeypatch.setattr(cli, "_random_density_stack", exhausted)
+        argv = ["random", "--dim", "2000000", "--members", "3", "--rank", "2000000",
+                "--out", str(tmp_path / "r.json")]
+    else:
+        monkeypatch.setattr(cli, "check_properties", exhausted)
+        argv = ["check-properties", "--dim", "2", "--members", "2", "--trials", "10000000000000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message or 'out of memory'}\n"
+
+
+@st.composite
+def kyfan_cases(draw):
+    """An ensemble file's dim and members, some of them with p = 0, and a Ky Fan order."""
+    dim = draw(st.integers(1, 5))
+    p = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=1, max_size=4))
+    if not any(p):
+        p[draw(st.integers(0, len(p) - 1))] = 1.0
+    seed = draw(st.integers(0, 2**32 - 1))
+    return dim, np.array(p) / sum(p), seed, draw(st.integers(1, 7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kyfan_cases())
+@example((2, np.array([1.0]), 0, 3))
+@example((2, np.array([0.0, 1.0, 0.0]), 1, 3))
+@example((2, np.array([0.5, 0.5]), 2, 2))
+def test_kyfan_order_above_dim_is_rejected_whatever_the_live_pairs(case):
+    dim, p, seed, k = case
+    rng = np.random.default_rng(seed)
+    states = np.array([random_density_matrix(dim, dim, rng).matrix for _ in p])
+    spec = NormSpec.kyfan(k)
+    e = Ensemble.from_stack(p, states)
+    calls = [
+        lambda: quantumness(e, spec),
+        lambda: quantumness_batch(np.stack([p, p]), np.stack([states, states]), spec),
+        lambda: norm(states[0] @ states[-1] - states[-1] @ states[0], spec),
+    ]
+    for call in calls:
+        if k > dim:
+            with pytest.raises(InvalidNormSpec, match=f"kyfan order {k} exceeds dimension {dim}"):
+                call()
+        else:
+            call()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/e.json"
+        io.save_ensemble(path, e)
+        err = StringIO()
+        with warnings.catch_warnings(), redirect_stderr(err), redirect_stdout(StringIO()):
+            warnings.simplefilter("error")
+            code = main(["compute", path, "--norm", f"kyfan:{k}"])
+    assert code == (2 if k > dim else 0)
+    want = f"error: kyfan order {k} exceeds dimension {dim}\n" if k > dim else ""
+    assert err.getvalue() == want
 
 
 # Argument lists of every subcommand, with the exit code each must give:

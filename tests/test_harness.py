@@ -2,10 +2,13 @@
 the pair norms it shares between ensembles change no bit, and every trial
 draws the reference stream of ``_oracles.draw_trial``."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ensq.ensemble import (
     Ensemble,
@@ -18,6 +21,7 @@ from ensq.ensemble import (
 from ensq.harness import (
     _CHUNK,
     PROPERTY_NAMES,
+    PropertyResult,
     _build_ensembles,
     _classicality_fails,
     _draw_ensemble,
@@ -175,3 +179,47 @@ def test_trial_draws_match_the_reference_stream_field_by_field(dim, members):
         assert type(got.target) is int and got.target == target, t
         assert got.partition.blocks == blocks, t
         assert all(type(i) is int for blk in got.partition.blocks for i in blk), t
+
+
+def reference_result(name, column, slack):
+    """A PropertyResult recorded trial by trial, as the report first did."""
+    r = PropertyResult(name)
+    for t, violation in enumerate(column.tolist()):
+        if violation > r.worst_slack:
+            r.worst_slack, r.worst_trial = violation, t
+        if violation <= slack:
+            r.passes += 1
+        else:
+            r.failures += 1
+            if len(r.failed_trials) < 20:
+                r.failed_trials.append((t, violation))
+    return r
+
+
+VIOLATIONS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-9, 2e-9, -1e-3, 0.5, 0.5, 1.0]
+) | st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(VIOLATIONS, min_size=1, max_size=60), st.sampled_from([0.0, 1e-9, 0.5]))
+@example([math.nan] * 3, 1e-9)
+@example([-math.inf, math.nan, -math.inf], 1e-9)
+@example([1.0] * 25 + [math.nan, 2.0, 2.0], 1e-9)
+def test_property_results_from_columns_equal_the_per_trial_record(column, slack):
+    column = np.array(column)
+    got = PropertyResult.from_column("p", column, slack)
+    want = reference_result("p", column, slack)
+    # repr, since NaN != NaN; and the same Python types as the record.
+    assert repr(got) == repr(want)
+    assert [type(x) for x in (got.passes, got.failures, got.worst_slack, got.worst_trial)] == [
+        int, int, float, int
+    ]
+    assert all(type(t) is int and type(v) is float for t, v in got.failed_trials)
+
+
+def test_check_properties_summaries_are_the_per_trial_record_of_its_columns():
+    report = check_properties(3, 3, 40, 5, NormSpec.trace(), slack=0.0)
+    assert not report.all_passed()
+    for name, column, result in zip(PROPERTY_NAMES, report.violations.T, report.results):
+        assert repr(result) == repr(reference_result(name, column, 0.0))

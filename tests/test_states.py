@@ -519,3 +519,25 @@ def test_eigenprojectors_of_validated_eigenpairs_run_no_eigensolve(monkeypatch):
     want = states._eigenprojectors(validated)
     assert calls == ["eigh"]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 64])
+def test_projector_is_projector_stack_bit_for_bit_without_an_eigensolve(dim, monkeypatch):
+    rng = np.random.default_rng([100, dim])
+    z = rng.standard_normal((10, dim)) + 1j * rng.standard_normal((10, dim))
+    vectors = [*(z / np.linalg.norm(z, axis=1, keepdims=True)), np.eye(dim)[dim - 1]]
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    got = [projector(PureState(a)) for a in vectors]
+    assert calls == []
+    for a, rho in zip(vectors, got):
+        assert isinstance(rho, DensityMatrix) and not rho.matrix.flags.writeable
+        assert rho.matrix.tobytes() == states.projector_stack(a[None])[0].tobytes()
+        # What the DensityMatrix validator would have stored.
+        assert rho.matrix.tobytes() == DensityMatrix(rho.matrix).matrix.tobytes()
