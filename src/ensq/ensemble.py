@@ -333,17 +333,12 @@ def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _live_pairs(probs: np.ndarray):
-    """Every pair i < j of positive-probability members, batch-flattened.
-
-    Pairs run ensemble by ensemble, each in lexicographic (i, j) order.
-    Returns the ensemble of each pair, the pair's two member indices into
-    the flattened ``(B * m, ...)`` member axis, and each ensemble's count.
-    """
-    m = probs.shape[1]
-    iu, ju = _upper_pairs(m)
-    live = (probs[:, iu] > 0.0) & (probs[:, ju] > 0.0)
-    owner, k = np.nonzero(live)
-    return owner, owner * m + iu[k], owner * m + ju[k], live.sum(axis=1)
+    """``(b, i, j)`` of every pair i < j of positive-probability members:
+    the ensemble and the two member indices, ensemble by ensemble, each in
+    lexicographic (i, j) order."""
+    iu, ju = _upper_pairs(probs.shape[1])
+    b, k = np.nonzero((probs[:, iu] > 0.0) & (probs[:, ju] > 0.0))
+    return b, iu[k], ju[k]
 
 
 def _pair_blocks(count: int, d: int):
@@ -352,63 +347,59 @@ def _pair_blocks(count: int, d: int):
     return [slice(s, s + step) for s in range(0, count, step)]
 
 
-def _pair_norms(probs, states, spec: NormSpec, factors=None, known=None):
-    """The live pairs of a stack (``_live_pairs``) and the norm of each.
+def _norms_of(members, first, second, spec: NormSpec, factors=None) -> np.ndarray:
+    """The one pair walk: ||[members[first], members[second]]|| for each pair.
 
-    Returns ``(owner, i, j, counts, norms)``.  ``factors`` are the low-rank
-    factors of the batch-flattened members, as ``Ensemble.factors`` holds
-    them; when None they come from one ``eigh`` per member of a pair to
-    compute, at d >= 8.  ``known`` ``(B, m, m)``, if given, holds at
-    ``[b, i, j]`` a norm computed before for members i < j of ensemble b
-    (``_norm_table``), from the same two matrices and so on the same
-    route; pairs where it is NaN are computed here.
+    ``members`` is a stack ``(N, d, d)`` and ``first``, ``second`` index it.
+    ``factors`` are the members' low-rank factors, as ``Ensemble.factors``
+    holds them; when None, they come from one ``eigh`` per member of a pair,
+    at d >= 8.  A Ky Fan order above d raises ``InvalidNormSpec``, pairs or
+    not.  A pair's norm depends on its two matrices, in their order, alone:
+    the same bits in whatever stack, and at whatever position, it arrives.
     """
-    probs = np.asarray(probs, dtype=float)
-    states = np.asarray(states)
-    m, d = probs.shape[1], states.shape[-1]
-    spec.check_dim(d)  # even when no pair is live
-    owner, i, j, counts = _live_pairs(probs)
-    members = states.reshape(-1, d, d)
-    if known is None:
-        norms = np.full(len(owner), np.nan)
-    else:
-        norms = known.reshape(-1, m)[i, j - owner * m]
-    todo = np.flatnonzero(np.isnan(norms))
-    if factors is None and todo.size:
+    d = members.shape[-1]
+    spec.check_dim(d)
+    if factors is None and len(first):
         needed = np.zeros(len(members), dtype=bool)
-        needed[i[todo]] = needed[j[todo]] = True
+        needed[first] = needed[second] = True
         factors = _low_rank_factors(members, needed)
-    for blk in _pair_blocks(len(todo), d):
-        sel = todo[blk]
-        sv = _pair_singular_values(members, i[sel], j[sel], factors)
-        norms[sel] = linalg.norm_from_singular_values(sv, spec)
-    return owner, i, j, counts, norms
+    norms = np.empty(len(first))
+    for blk in _pair_blocks(len(first), d):
+        sv = _pair_singular_values(members, first[blk], second[blk], factors)
+        norms[blk] = linalg.norm_from_singular_values(sv, spec)
+    return norms
 
 
-def _norm_table(pairs, m: int) -> np.ndarray:
-    """The norms of ``_pair_norms`` as a ``(B, m, m)`` table, NaN off the live pairs."""
-    owner, i, j, counts, norms = pairs
-    table = np.full((len(counts) * m, m), np.nan)
-    table[i, j - owner * m] = norms
-    return table.reshape(-1, m, m)
+def _pair_norms(probs: np.ndarray, states, spec: NormSpec, factors=None) -> np.ndarray:
+    """The pair norms of a stack as a ``(B, m, m)`` table: ``[b, i, j]`` holds
+    ||[rho_i, rho_j]|| of ensemble b for each live pair i < j
+    (``_live_pairs``), and NaN elsewhere.
+
+    ``factors`` are those of the batch-flattened members (see ``_norms_of``).
+    """
+    states = np.asarray(states)
+    n, m = probs.shape
+    b, i, j = _live_pairs(probs)
+    table = np.full((n, m, m), np.nan)
+    table[b, i, j] = _norms_of(
+        states.reshape(-1, *states.shape[-2:]), b * m + i, b * m + j, spec, factors
+    )
+    return table
 
 
-def _weighted_sums(probs: np.ndarray, pairs) -> np.ndarray:
+def _weighted_sums(probs: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Per ensemble, the exact sum of 2 sqrt(p_i p_j) ||[rho_i, rho_j]|| over
-    the live pairs of ``_pair_norms``, in their lexicographic order."""
-    owner, i, j, counts, norms = pairs
-    flat_probs = probs.ravel()
-    terms = (2.0 * np.sqrt(flat_probs[i] * flat_probs[j]) * norms).tolist()
-    out = np.zeros(len(counts))
-    start = 0
-    for n, count in enumerate(counts.tolist()):
-        out[n] = math.fsum(terms[start : start + count])
-        start += count
-    return out
+    its live pairs, in lexicographic order, with the norms read from the
+    ``(B, m, m)`` table ``norms`` (``_pair_norms``)."""
+    b, i, j = _live_pairs(probs)
+    terms = (2.0 * np.sqrt(probs[b, i] * probs[b, j]) * norms[b, i, j]).tolist()
+    ends = np.searchsorted(b, np.arange(len(probs) + 1)).tolist()
+    return np.array([math.fsum(terms[s:e]) for s, e in zip(ends, ends[1:])], dtype=float)
 
 
 def quantumness_batch(probs, states, spec: NormSpec, factors=None) -> np.ndarray:
-    """Quantumness of each ensemble in a stack; see :func:`quantumness`.
+    """Quantumness of each ensemble in a stack; see :func:`quantumness`: the
+    ``_weighted_sums`` of the stack's ``_pair_norms`` table.
 
     ``factors`` are the low-rank factors of the batch-flattened members,
     as ``Ensemble.factors`` holds them (a loaded ensemble's, at every d).
@@ -427,12 +418,12 @@ def is_classical_batch(probs, states, tol: float = 1e-9) -> np.ndarray:
     """
     probs = np.asarray(probs, dtype=float)
     states = np.asarray(states)
-    owner, i, j, _ = _live_pairs(probs)
-    d = states.shape[-1]
+    owner, i, j = _live_pairs(probs)
+    m, d = probs.shape[1], states.shape[-1]
     members = states.reshape(-1, d, d)
     classical = np.ones(len(probs), dtype=bool)
     for blk in _pair_blocks(len(owner), d):
-        a, c = members[i[blk]], members[j[blk]]
+        a, c = members[owner[blk] * m + i[blk]], members[owner[blk] * m + j[blk]]
         comm = a @ c - c @ a
         frobenius = np.sqrt(np.sum(np.abs(comm) ** 2, axis=(-2, -1)))
         classical[owner[blk][frobenius > tol]] = False

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import (
+    BLOCK_BYTES,
     Ensemble,
     Partition,
-    _norm_table,
+    _norms_of,
     _pair_norms,
     _rank_one_factors,
     _weighted_sums,
@@ -77,6 +78,8 @@ PROPERTY_NAMES = (
 _BOOL_FAIL = 1.0
 
 # Trials evaluated per batch; bounds the memory of a run of any length.
+# A trial holds m * d eigenprojectors of d x d, 16 m d^3 bytes, so a batch
+# takes fewer trials where they would pass ``ensemble.BLOCK_BYTES``.
 _CHUNK = 250
 
 
@@ -193,40 +196,32 @@ def _classicality_fails(m: float, classical: bool, slack: float) -> bool:
     return m > slack if classical else m <= 0.0
 
 
-def _union_values(probs, states, pairs, o_probs, o_states, o_pairs, lam, spec) -> np.ndarray:
-    """M of the unions ``lam[:, 0]`` E + ``lam[:, 1]`` O, batched.
-
-    ``pairs`` and ``o_pairs`` are the ``_pair_norms`` of E and of O: their
-    pairs keep those norms, so only the cross pairs are computed.
-    """
-    m = probs.shape[1]
-    u_probs, u_states = union_batch([probs, o_probs], [states, o_states], lam)
-    known = np.full((len(probs), 2 * m, 2 * m), np.nan)
-    known[:, :m, :m] = _norm_table(pairs, m)
-    known[:, m:, m:] = _norm_table(o_pairs, m)
-    return _weighted_sums(u_probs, _pair_norms(u_probs, u_states, spec, known=known))
-
-
-def _variant_values(probs, states, pairs, target, parts, spec) -> np.ndarray:
+def _variant_values(probs, states, norms, target, parts, spec) -> np.ndarray:
     """M ``(B, K)`` of ensemble b with member ``target[b]`` replaced by each
     of ``parts[b]`` ``(K, d, d)``.
 
-    ``pairs`` are the ``_pair_norms`` of the ensembles: pairs without the
-    target member keep those norms, so only the target's pairs are computed.
+    ``norms`` is the ``_pair_norms`` table of the ensembles.  A variant
+    keeps every pair that avoids the target, so only the target's live
+    pairs are computed, in the variant's member order: [E_i, part] for
+    i < target, else [part, E_i] (the swapped commutator is the negated
+    matrix, whose eigenvalues need not round the same).
     """
     n, m = probs.shape
-    k = parts.shape[1]
+    k, d = parts.shape[1], parts.shape[-1]
     rows = np.arange(n)
-    variants = np.repeat(states[:, None], k, axis=1)
-    variants[rows, :, target] = parts
-    known = np.repeat(_norm_table(pairs, m)[:, None], k, axis=1)
-    known[rows, :, target] = np.nan
-    known[rows, :, :, target] = np.nan
-    v_probs = np.repeat(probs, k, axis=0)
-    v_pairs = _pair_norms(
-        v_probs, variants.reshape(n * k, *states.shape[1:]), spec, known=known.reshape(-1, m, m)
+    live = (probs > 0.0) & (probs[rows, target] > 0.0)[:, None]
+    live[rows, target] = False
+    b, i = np.nonzero(live)
+    b, i, part = np.repeat(b, k), np.repeat(i, k), np.tile(np.arange(k), len(b))
+    t = target[b]
+    member, piece = b * m + i, n * m + b * k + part
+    values = _norms_of(
+        np.concatenate([states.reshape(-1, d, d), parts.reshape(-1, d, d)]),
+        np.where(i < t, member, piece), np.where(i < t, piece, member), spec,
     )
-    return _weighted_sums(v_probs, v_pairs).reshape(n, k)
+    tables = np.repeat(norms[:, None], k, axis=1)
+    tables[b, part, np.minimum(i, t), np.maximum(i, t)] = values
+    return _weighted_sums(np.repeat(probs, k, axis=0), tables.reshape(n * k, m, m)).reshape(n, k)
 
 
 def _run_trials(
@@ -245,8 +240,6 @@ def _run_trials(
     probs, (states, w, v) = _build_ensembles(
         [d.ensemble for d in draws], dim, _validate_density_eigh
     )
-    pairs = _pair_norms(probs, states, spec)
-    m_e = _weighted_sums(probs, pairs)
     classical_e = is_classical_batch(probs, states, slack)
 
     # Positivity, and zero exactly on classical ensembles.
@@ -257,12 +250,17 @@ def _run_trials(
     u = haar_unitaries(np.stack([d.unitary for d in draws]))
     m_conj = quantumness_batch(probs, conjugate_batch(states, u), spec)
 
+    # E, O and their union from one table: the union's live pairs are among
+    # those live under E's and O's own probabilities.
     o_probs, o_states = _build_ensembles([d.other for d in draws], dim, validate_density_stack)
-    o_pairs = _pair_norms(o_probs, o_states, spec)
-    m_o = _weighted_sums(o_probs, o_pairs)
     lam = np.array([d.lam for d in draws])
     lam = lam / lam.sum(axis=1, keepdims=True)
-    m_union = _union_values(probs, states, pairs, o_probs, o_states, o_pairs, lam, spec)
+    u_probs, u_states = union_batch([probs, o_probs], [states, o_states], lam)
+    norms = _pair_norms(np.concatenate([probs, o_probs], axis=1), u_states, spec)
+    e_norms = norms[:, :members, :members]
+    m_e = _weighted_sums(probs, e_norms)
+    m_o = _weighted_sums(o_probs, norms[:, members:, members:])
+    m_union = _weighted_sums(u_probs, norms)
 
     # Every member's spectral decomposition serves both the decomposition
     # of the target member and the fine-graining, whose members are the
@@ -270,7 +268,7 @@ def _run_trials(
     weights, proj, vectors = _eigenprojectors(states, (w, v))
     check_decompositions(weights, proj, states, range(members))
     target = np.array([d.target for d in draws])
-    m_var = _variant_values(probs, states, pairs, target, proj[rows, target], spec)
+    m_var = _variant_values(probs, states, e_norms, target, proj[rows, target], spec)
     fine_probs = (probs[:, :, None] * weights).reshape(n, -1)
     check_weights(fine_probs, "ensemble probabilities")
     m_fine = quantumness_batch(
@@ -435,8 +433,9 @@ def check_properties(
     )
     values = np.empty(trials)
     violations = np.empty((trials, len(PROPERTY_NAMES)))
-    for start in range(0, trials, _CHUNK):
-        chunk = range(start, min(start + _CHUNK, trials))
+    step = max(1, min(_CHUNK, BLOCK_BYTES // (16 * members * dim**3)))
+    for start in range(0, trials, step):
+        chunk = range(start, min(start + step, trials))
         values[chunk.start : chunk.stop], violations[chunk.start : chunk.stop] = _run_trials(
             dim, members, spec, seed, chunk, slack
         )

@@ -116,8 +116,9 @@ def antihermitian_singular_values(c: np.ndarray) -> np.ndarray:
 def gram_singular_values(a) -> np.ndarray:
     """Singular values via the eigenvalues of A^dagger A, sorted nonincreasing.
 
-    This is the general route; tiny negative eigenvalues produced by
-    round-off are clamped to zero before the square root.
+    Round-off negatives are clamped to zero before the square root.  The
+    squaring loses singular values below about ``sqrt(eps) * s_max``:
+    ``[[1, 1e8], [0, 1]]`` gives ``[1e8, 0]``, not ``[1e8, 1e-8]``.
     """
     m = _finite_matrix(a)
     g = m.conj().T @ m
@@ -135,15 +136,19 @@ def singular_values(a) -> np.ndarray:
     Anti-Hermitian input (the common case here: commutators of Hermitian
     matrices) is detected and goes through
     :func:`antihermitian_singular_values`; everything else goes through
-    the Gram matrix A^dagger A.  NaN and infinite entries are rejected
-    with ``ParamOutOfRange``, here and in :func:`hermitian_eigenvalues`,
-    :func:`gram_singular_values` and :func:`norm`.
+    ``numpy.linalg.svd``, accurate to a few ulps of the largest singular
+    value (:func:`gram_singular_values` is not).  NaN and infinite entries
+    are rejected with ``ParamOutOfRange``, here and in
+    :func:`hermitian_eigenvalues`, :func:`gram_singular_values` and :func:`norm`.
     """
     m = _finite_matrix(a)
     scale = float(np.abs(m).max())
     if float(np.abs(m + m.conj().T).max()) <= _ANTIHERMITIAN_TOL * (1.0 + scale):
         return antihermitian_singular_values(m).copy()
-    return gram_singular_values(m)
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"singular value decomposition failed: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -303,9 +303,7 @@ class PureState:
         a = np.asarray(self.amplitudes, dtype=complex)
         if a.ndim != 1 or a.size == 0:
             raise InvalidState(f"amplitudes must be a nonempty vector, got shape {a.shape}")
-        nrm = float(np.linalg.norm(a))
-        if not abs(nrm - 1.0) <= TOL:  # NaN fails too
-            raise InvalidState(f"amplitude vector has norm {nrm:.12g}, expected 1")
+        _check_unit(a)
         object.__setattr__(self, "amplitudes", _frozen(a))
 
     @property
@@ -334,8 +332,7 @@ class BlochVector:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "z", float(self.z))
-        if not self.length() <= 1.0 + TOL:  # NaN fails too
-            raise BlochOutOfBall(f"Bloch vector length {self.length():.12g} exceeds 1")
+        _bloch_matrices(self.as_array())  # the stack form's Bloch-ball check
 
     def length(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -383,7 +380,8 @@ def _bloch_matrices(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.ndim == 0 or r.shape[-1] != 3:
         raise DimensionMismatch(f"Bloch vectors have 3 components, got shape {r.shape}")
-    length = np.sqrt(np.sum(r * r, axis=-1))
+    with np.errstate(over="ignore"):  # a huge component gives length inf: rejected below
+        length = np.sqrt(np.sum(r * r, axis=-1))
     i = _first(~(length <= 1.0 + TOL))  # NaN fails too
     if i is not None:
         raise BlochOutOfBall(f"Bloch vector length {length.flat[i]:.12g} exceeds 1")
@@ -430,6 +428,16 @@ def projector_stack(amplitudes) -> np.ndarray:
     return _projectors(np.asarray(amplitudes, dtype=complex), _outer)
 
 
+def _check_unit(vectors: np.ndarray) -> None:
+    """Reject a vector of ``vectors`` ``(..., d)`` whose norm is not 1 within ``TOL``."""
+    # A huge or infinite amplitude makes the norm inf (or NaN): rejected below, silently.
+    with np.errstate(invalid="ignore", over="ignore"):
+        nrm = np.linalg.norm(vectors, axis=-1)
+    i = _first(~(np.abs(nrm - 1.0) <= TOL))  # NaN fails too
+    if i is not None:
+        raise InvalidState(f"amplitude vector has norm {nrm.flat[i]:.12g}, expected 1")
+
+
 def _projectors(vectors: np.ndarray, outer) -> np.ndarray:
     """Validated rank-1 density matrices ``outer(v)`` of vectors ``(..., d)``.
 
@@ -445,12 +453,7 @@ def _projectors(vectors: np.ndarray, outer) -> np.ndarray:
     they are.  The Hermiticity check stays, so that this does not rest on
     how complex products round.
     """
-    # An infinite amplitude makes the norm inf (or NaN): rejected below, silently.
-    with np.errstate(invalid="ignore", over="ignore"):
-        nrm = np.linalg.norm(vectors, axis=-1)
-    i = _first(~(np.abs(nrm - 1.0) <= TOL))  # NaN fails too
-    if i is not None:
-        raise InvalidState(f"amplitude vector has norm {nrm.flat[i]:.12g}, expected 1")
+    _check_unit(vectors)
     m = np.asarray(outer(vectors), dtype=complex)
     _check_plain(m)
     m.setflags(write=False)

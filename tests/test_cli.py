@@ -755,11 +755,10 @@ def test_loaded_ensembles_below_d_8_match_the_oracle(tmp_path, name):
         want = naive_quantumness(list(zip(probs.tolist(), stack)), spec)
         assert quantumness(e, spec) == pytest.approx(want, rel=1e-12, abs=1e-14)
         # A pair with a multiple of the identity commutes exactly.
-        owner, i, j, _, norms = _pair_norms(
-            e.probabilities[None], e.state_stack[None], spec, e.factors
-        )
+        norms = _pair_norms(e.probabilities[None], e.state_stack[None], spec, e.factors)[0]
+        i, j = np.nonzero(~np.isnan(norms))
         with_identity = (ranks[i] == 0) | (ranks[j] == 0)
-        assert (norms[with_identity] == 0.0).all()
+        assert (norms[i, j][with_identity] == 0.0).all()
 
 
 def test_load_and_compute_below_d_8_eigendecompose_each_member_once(tmp_path, monkeypatch):
@@ -1157,6 +1156,7 @@ EXIT_CODES = {
     "compute-missing-file": (["compute", "{tmp}/missing.json"], 2),
     "compute-bad-norm": (["compute", "{file}", "--norm", "nuclear"], 2),
     "compute-kyfan-beyond-dim": (["compute", "{file}", "--norm", "kyfan:3"], 2),
+    "compute-huge-bloch": (["compute", "{huge}"], 2),
     "sweep": (["sweep", "overlap", "--c", "0:1:0.25", "--out", "{tmp}/o.csv"], 0),
     "sweep-bad-grid": (["sweep", "overlap", "--c", "abc", "--out", "{tmp}/o.csv"], 2),
     "sweep-out-of-range": (["sweep", "overlap", "--p1", "1.5", "--out", "{tmp}/o.csv"], 2),
@@ -1191,7 +1191,10 @@ EXIT_CODES = {
 def test_cli_exit_codes_without_a_traceback_or_warning(tmp_path, capsys, case):
     argv, want = EXIT_CODES[case]
     path = example3_file(tmp_path)
-    argv = [a.format(tmp=tmp_path, file=path) for a in argv]
+    huge = tmp_path / "huge.json"  # squaring its Bloch components overflows
+    huge.write_text('{"dim": 2, "members": [{"p": 0.5, "bloch": [1e200, 1e200, 0]},'
+                    ' {"p": 0.5, "bloch": [0, 0, 1]}]}')
+    argv = [a.format(tmp=tmp_path, file=path, huge=huge) for a in argv]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's usage errors

@@ -1,6 +1,7 @@
 """Property harness: a batched run and its single-trial replays agree exactly,
-the pair norms it shares between ensembles change no bit, and every trial
-draws the reference stream of ``_oracles.draw_trial``."""
+the pair norms it shares (one table for E, O and their union, E's pairs in
+the variants) change no bit, and every trial draws the reference stream of
+``_oracles.draw_trial``."""
 
 import math
 import re
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ensq import harness
 from ensq.ensemble import (
     Ensemble,
     _pair_norms,
+    _weighted_sums,
     is_classical,
     quantumness,
     quantumness_batch,
@@ -26,7 +29,6 @@ from ensq.harness import (
     _classicality_fails,
     _draw_ensemble,
     _trial_draws,
-    _union_values,
     _variant_values,
     check_properties,
     run_single_trial,
@@ -75,6 +77,23 @@ def test_trials_replay_across_batch_boundaries():
     _assert_replays(report, 3, 3, spec, 2, [0, _CHUNK - 1, _CHUNK, trials - 1])
 
 
+def test_large_d_runs_in_shorter_batches_that_replay_bit_for_bit(monkeypatch):
+    # At d = 32 a trial's 4 * 32 eigenprojectors take 2 MiB, so a batch of
+    # at most ensemble.BLOCK_BYTES (16 MiB) holds 8 trials.
+    spec = NormSpec.schatten(3.0)
+    sizes = []
+
+    def recorded(*args, _run=harness._run_trials):
+        sizes.append(len(args[4]))
+        return _run(*args)
+
+    monkeypatch.setattr(harness, "_run_trials", recorded)
+    report = check_properties(32, 4, trials=13, seed=2, spec=spec)
+    assert sizes == [8, 5]
+    monkeypatch.undo()
+    _assert_replays(report, 32, 4, spec, 2, [0, 7, 8, 12])
+
+
 def test_render_fail_lines_replay_their_trials():
     # Slack 0 turns round-off-sized violations into failures, so the
     # report prints FAIL lines; each one's replay call must reproduce it.
@@ -118,13 +137,10 @@ GRID_NORMS = [
 ]
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 9])
-@pytest.mark.parametrize("spec", GRID_NORMS, ids=lambda s: s.label())
-def test_spliced_union_and_variant_values_equal_the_plain_kernel_bit_for_bit(dim, spec):
-    # The union reuses E's and O's pair norms, the variants reuse E's; a
-    # plain kernel call on the full ensembles must give the same bits.
+def _union_and_variant_case(dim, n=12, members=3):
+    """E (zero-probability members, targets at 0 and m - 1), O, union weights
+    with a zero, and each target's eigenprojectors as its parts."""
     rng = np.random.default_rng([31, dim])
-    n, members = 12, 3
     probs, states = _build_ensembles(
         [_draw_ensemble(rng, dim, members, allow_zero_prob=True) for _ in range(n)], dim,
         validate_density_stack,
@@ -132,23 +148,67 @@ def test_spliced_union_and_variant_values_equal_the_plain_kernel_bit_for_bit(dim
     o_probs, o_states = _build_ensembles(
         [_draw_ensemble(rng, dim, members) for _ in range(n)], dim, validate_density_stack
     )
+    for row, dead in ((0, 0), (1, members - 1), (2, 1)):
+        probs[row, dead] = 0.0
+        probs[row] /= probs[row].sum()
+    target = rng.integers(members, size=n)
+    target[:4] = [0, 0, members - 1, members - 1]
     lam = rng.random((n, 2))
+    lam[4:6] = [[1.0, 0.0], [0.0, 1.0]]
     lam = lam / lam.sum(axis=1, keepdims=True)
-    pairs = _pair_norms(probs, states, spec)
-    o_pairs = _pair_norms(o_probs, o_states, spec)
-    got = _union_values(probs, states, pairs, o_probs, o_states, o_pairs, lam, spec)
-    want = quantumness_batch(*union_batch([probs, o_probs], [states, o_states], lam), spec)
-    assert _bits(got) == _bits(want)
+    parts = eigenprojectors(states)[1][np.arange(n), target]
+    return probs, states, o_probs, o_states, lam, target, parts
 
-    rows, target = np.arange(n), rng.integers(members, size=n)
-    parts = eigenprojectors(states)[1][rows, target]
-    got = _variant_values(probs, states, pairs, target, parts, spec)
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 9, 16])
+@pytest.mark.parametrize("spec", GRID_NORMS, ids=lambda s: s.label())
+def test_spliced_union_and_variant_values_equal_the_plain_kernel_bit_for_bit(dim, spec):
+    # One table serves E, O and their union, and the variants compute only
+    # the target's pairs; plain kernel calls on whole ensembles must give
+    # the same bits.
+    probs, states, o_probs, o_states, lam, target, parts = _union_and_variant_case(dim)
+    n, members = probs.shape
+    u_probs, u_states = union_batch([probs, o_probs], [states, o_states], lam)
+    norms = _pair_norms(np.concatenate([probs, o_probs], axis=1), u_states, spec)
+    e_norms = norms[:, :members, :members]
+    assert _bits(_weighted_sums(probs, e_norms)) == _bits(quantumness_batch(probs, states, spec))
+    assert _bits(_weighted_sums(o_probs, norms[:, members:, members:])) == _bits(
+        quantumness_batch(o_probs, o_states, spec)
+    )
+    assert _bits(_weighted_sums(u_probs, norms)) == _bits(
+        quantumness_batch(u_probs, u_states, spec)
+    )
+
+    got = _variant_values(probs, states, e_norms, target, parts, spec)
     variants = np.repeat(states[:, None], dim, axis=1)
-    variants[rows, :, target] = parts
+    variants[np.arange(n), :, target] = parts
     want = quantumness_batch(
         np.repeat(probs, dim, axis=0), variants.reshape(n * dim, members, dim, dim), spec
     )
     assert _bits(got.ravel()) == _bits(want)
+
+
+def test_variants_eigendecompose_each_member_and_part_once(monkeypatch):
+    # At d = 16 the kernel decomposes the members of its pairs.  The variants
+    # pair E's live members with the target's parts, and decompose each once,
+    # not once per variant that holds it.
+    dim = 16
+    probs, states, _, _, _, target, parts = _union_and_variant_case(dim)
+    n = len(probs)
+    norms = _pair_norms(probs, states, NormSpec.trace())
+    rows = []
+
+    def counted(a, *args, _solve=np.linalg.eigh, **kwargs):
+        rows.append(len(a))
+        return _solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    _variant_values(probs, states, norms, target, parts, NormSpec.trace())
+    live = probs > 0.0
+    others = live.sum(axis=1) - live[np.arange(n), target]
+    paired = live[np.arange(n), target] & (others > 0)
+    assert sum(rows) == int((others + dim)[paired].sum())
+    assert sum(rows) < int(live[paired].sum(axis=1).sum() * dim)
 
 
 @pytest.mark.parametrize("spec", GRID_NORMS, ids=lambda s: s.label())

@@ -224,6 +224,19 @@ def test_schmidt_coefficients_known_and_invariant():
         schmidt_coefficients(PureState.basis(3, 0))
 
 
+def test_schmidt_coefficients_of_near_product_states_keep_the_small_one():
+    # cos(t)|00> + sin(t)|11> with sin(t) far below sqrt(eps), in random local
+    # bases: the Gram route A^+ A loses the small coefficient entirely.
+    rng = np.random.default_rng(37)
+    t = 1e-9
+    for _ in range(50):
+        u, v = random_unitary(2, rng), random_unitary(2, rng)
+        psi = PureState(np.kron(u, v) @ np.array([math.cos(t), 0.0, 0.0, math.sin(t)]))
+        a, b = schmidt_coefficients(psi)
+        assert abs(a - math.cos(t)) <= 1e-15
+        assert abs(b - math.sin(t)) <= 1e-15
+
+
 def test_random_pure_state_is_seeded_and_normalized():
     a = random_pure_state(4, 123)
     b = random_pure_state(4, 123)
@@ -307,6 +320,19 @@ def test_infinite_amplitude_is_rejected_without_a_warning():
         for bad in ([1.0, -math.inf], [math.inf, 1j * math.inf], [math.nan, 0.0]):
             with pytest.raises(InvalidState, match="amplitude vector has norm"):
                 states.projector_stack([[1.0, 0.0], bad])
+
+
+def test_huge_amplitudes_and_bloch_vectors_are_rejected_without_a_warning():
+    # Squaring 1e200 overflows: the scalar and stack checks share one rule,
+    # which silences that and rejects the infinite length.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (PureState, lambda a: states.projector_stack([a])):
+            with pytest.raises(InvalidState, match="amplitude vector has norm inf"):
+                check([1e200, 1e200])
+        for check in (lambda r: BlochVector(*r), lambda r: states.density_from_bloch_stack([r])):
+            with pytest.raises(BlochOutOfBall, match="length inf exceeds 1"):
+                check([1e200, 1e200, 0.0])
 
 
 def spectral_state(rng, dim, lowest=None, roundoffs=None):
