@@ -55,10 +55,10 @@ __all__ = [
 # The pair kernel works through pairs in blocks of at most this many bytes
 # of d x d commutators, so its memory does not grow with the pair count.
 BLOCK_BYTES = 1 << 24
-# The low-rank route needs 4 (r_i + r_j) <= d.  Below d = 8 that admits
-# only pairs with a rank-0 member, so smaller ensembles skip the member
-# eigendecompositions and every pair takes the dense route, unless a
-# source hands the kernel factors (``Ensemble.factors``).
+# A stack without factors gets them from one member eigh per member of a
+# pair, from d = 8 on; below it every such pair takes the dense route.  A
+# source that already has the factors hands them over at every d
+# (``Ensemble.factors``).
 LOW_RANK_MIN_DIM = 8
 # check_weights passes a row whose numpy sum is within TOL / 2 of one
 # without an exact sum.  For at most this many finite nonnegative weights,
@@ -126,12 +126,13 @@ class Ensemble:
     ``factors`` (``_factors_from_eigh``: ranks, shifted eigenvalues,
     vectors) are handed over by a source that already has them, from an
     eigendecomposition or from a pure member's amplitudes, so that
-    ``quantumness`` runs no member ``eigh`` of its own.  Two sources supply
-    them, at every d: ``io.load_ensemble``, on every ``Ensemble`` it
-    returns, and the property harness, which hands the kernel the factors
-    of its fine-grained eigenprojectors (``_rank_one_factors``) without
-    building an ``Ensemble``.  Every other constructor and transform
-    leaves them None.
+    ``quantumness`` runs no member ``eigh`` of its own, and every pair
+    with a rank-1 member takes the kernel's rank-1 route, at every d.
+    ``io.load_ensemble`` supplies them on every ``Ensemble`` it returns.
+    Every other constructor and transform leaves them None.  (The property
+    harness hands the kernel factors of its own stacks, from their
+    validation ``eigh``, their construction or their eigenvectors, without
+    building an ``Ensemble``.)
     """
 
     probabilities: np.ndarray
@@ -221,7 +222,7 @@ def _low_rank_factors(states: np.ndarray, live: np.ndarray):
 
 def _factor_columns(d: int) -> int:
     """Columns of a member's factors: d // 4, the most the low-rank route
-    uses, and at least one, for the overlap route of rank-1 members."""
+    uses, and at least one, for the rank-1 route."""
     return max(1, d // 4)
 
 
@@ -271,23 +272,47 @@ def _low_rank_singular_values(lam_a, vec_a, lam_b, vec_b) -> np.ndarray:
     return linalg.antihermitian_singular_values(x @ y - y @ x)
 
 
+def _rank_one_values(states: np.ndarray, i, j, factors) -> np.ndarray:
+    """The two equal nonzero singular values ``(n,)`` of [states[i], states[j]],
+    where one member of each pair is rank 1 after its shift.
+
+    Call that member q (member j when both are), B = mu I + lambda v v^+,
+    and the other p, with matrix A.  Then [A, B] = lambda (x v^+ - v x^+)
+    with x = (I - v v^+) A v orthogonal to v, whose singular values are
+    |lambda| ||x||, twice.  A v is a mat-vec with ``states[p]``, or, when p
+    is rank 1 too (A = mu_p I + lambda_p u u^+), mu_p v + lambda_p (u^+ v) u,
+    so that ||x|| = |lambda_p (u^+ v)| ||(I - v v^+) u||.  No eigensolve
+    runs, and the projection is a difference of vectors, not of 1 and
+    |u^+ v|^2, so near-parallel pairs keep the accuracy of the vectors.
+    """
+    ranks, lam, vecs = factors
+    swap = ranks[j] != 1
+    q, p = np.where(swap, i, j), np.where(swap, j, i)
+    v = vecs[q, :, 0]
+    pure = ranks[p] == 1
+    z = vecs[p, :, 0]
+    mixed = np.flatnonzero(~pure)
+    z[mixed] = (states[p[mixed]] @ v[mixed, :, None])[..., 0]
+    c = np.einsum("ni,ni->n", v.conj(), z)
+    x = (z - c[:, None] * v).view(float)
+    scale = np.abs(lam[q, 0])
+    scale[pure] *= np.abs(lam[p[pure], 0] * c[pure])
+    return scale * np.sqrt(np.einsum("ni,ni->n", x, x))
+
+
 def _pair_singular_values(states: np.ndarray, i, j, factors) -> np.ndarray:
     """Singular values ``(n, d)``, nonincreasing, of [states[i], states[j]].
 
     ``i`` and ``j`` index the stack ``states`` ``(N, d, d)``, and
     ``factors`` holds its members' low-rank factors (``_factors_from_eigh``),
     or is None when there are none (every pair dense).  Each pair's route
-    depends on that pair alone:
+    depends on that pair's ranks alone:
 
     * a pair with a rank-0 member is zero (a multiple of the identity
       commutes with everything);
-    * two rank-1 members, shifted by mu_i and mu_j, with kept eigenvalues
-      lambda and eigenvectors u, take the overlap route where
-      ``|c|^2 <= 1/2``, ``c = <u_i|u_j>``: the values are
-      ``|lambda_i lambda_j| |c| sqrt(1 - |c|^2)``, twice.  Under that guard
-      ``1 - |c|^2`` loses at most a few ulps; nearer-parallel pairs would
-      lose it all, so they keep the routes below;
-    * ranks with 4 (r_i + r_j) <= d take the low-rank route;
+    * a pair with a rank-1 member takes the rank-1 route
+      (``_rank_one_values``): a projection, and no eigensolve;
+    * ranks r_i, r_j >= 2 with 4 (r_i + r_j) <= d take the low-rank route;
     * every other pair takes the dense route: the full d x d commutator
       and its eigenvalues.
 
@@ -301,15 +326,10 @@ def _pair_singular_values(states: np.ndarray, i, j, factors) -> np.ndarray:
     r_i, r_j = ranks[i], ranks[j]
     d = states.shape[-1]
     out = np.zeros((len(i), d))
-    rank1 = np.flatnonzero((r_i == 1) & (r_j == 1))
-    c = np.sum(vecs[i[rank1], :, 0].conj() * vecs[j[rank1], :, 0], axis=-1)
-    cc = c.real**2 + c.imag**2
-    guard = cc <= 0.5
-    over, cc = rank1[guard], cc[guard]
-    scale = np.abs(lam[i[over], 0] * lam[j[over], 0])
-    out[over, :2] = (scale * np.sqrt(cc * (1.0 - cc)))[:, None]
-    rest = (r_i > 0) & (r_j > 0)
-    rest[over] = False
+    live = (r_i > 0) & (r_j > 0)
+    one = np.flatnonzero(live & ((r_i == 1) | (r_j == 1)))
+    out[one, :2] = _rank_one_values(states, i[one], j[one], factors)[:, None]
+    rest = live & (r_i > 1) & (r_j > 1)
     dense = rest & (4 * (r_i + r_j) > d)
     low = np.flatnonzero(rest & ~dense)
     for r_a, r_b in sorted(set(zip(r_i[low].tolist(), r_j[low].tolist()))):
@@ -370,16 +390,17 @@ def _norms_of(members, first, second, spec: NormSpec, factors=None) -> np.ndarra
     return norms
 
 
-def _pair_norms(probs: np.ndarray, states, spec: NormSpec, factors=None) -> np.ndarray:
-    """The pair norms of a stack as a ``(B, m, m)`` table: ``[b, i, j]`` holds
-    ||[rho_i, rho_j]|| of ensemble b for each live pair i < j
-    (``_live_pairs``), and NaN elsewhere.
+def _pair_norms(pairs, states, spec: NormSpec, factors=None) -> np.ndarray:
+    """The pair norms of a stack ``(B, m, d, d)`` as a ``(B, m, m)`` table:
+    ``[b, i, j]`` holds ||[rho_i, rho_j]|| of ensemble b for each of the
+    ``pairs`` ``(b, i, j)`` (``_live_pairs`` of the probabilities), and NaN
+    elsewhere.
 
     ``factors`` are those of the batch-flattened members (see ``_norms_of``).
     """
     states = np.asarray(states)
-    n, m = probs.shape
-    b, i, j = _live_pairs(probs)
+    n, m = states.shape[:2]
+    b, i, j = pairs
     table = np.full((n, m, m), np.nan)
     table[b, i, j] = _norms_of(
         states.reshape(-1, *states.shape[-2:]), b * m + i, b * m + j, spec, factors
@@ -387,11 +408,12 @@ def _pair_norms(probs: np.ndarray, states, spec: NormSpec, factors=None) -> np.n
     return table
 
 
-def _weighted_sums(probs: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def _weighted_sums(probs: np.ndarray, norms: np.ndarray, pairs) -> np.ndarray:
     """Per ensemble, the exact sum of 2 sqrt(p_i p_j) ||[rho_i, rho_j]|| over
-    its live pairs, in lexicographic order, with the norms read from the
-    ``(B, m, m)`` table ``norms`` (``_pair_norms``)."""
-    b, i, j = _live_pairs(probs)
+    its live pairs ``pairs`` (``_live_pairs(probs)``), in lexicographic
+    order, with the norms read from the ``(B, m, m)`` table ``norms``
+    (``_pair_norms``)."""
+    b, i, j = pairs
     terms = (2.0 * np.sqrt(probs[b, i] * probs[b, j]) * norms[b, i, j]).tolist()
     ends = np.searchsorted(b, np.arange(len(probs) + 1)).tolist()
     return np.array([math.fsum(terms[s:e]) for s, e in zip(ends, ends[1:])], dtype=float)
@@ -408,7 +430,8 @@ def quantumness_batch(probs, states, spec: NormSpec, factors=None) -> np.ndarray
     Fan order above d raises ``InvalidNormSpec``, live pairs or not.
     """
     probs = np.asarray(probs, dtype=float)
-    return _weighted_sums(probs, _pair_norms(probs, states, spec, factors))
+    pairs = _live_pairs(probs)
+    return _weighted_sums(probs, _pair_norms(pairs, states, spec, factors), pairs)
 
 
 def is_classical_batch(probs, states, tol: float = 1e-9) -> np.ndarray:
@@ -437,8 +460,11 @@ def conjugate_batch(states, u) -> np.ndarray:
     ensemble, ``(B, d, d)``, each checked to ``TOL``.
     """
     u = np.asarray(u, dtype=complex)
-    defect = np.abs(_adjoint(u) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
-    bad = np.flatnonzero(defect > TOL)
+    # A non-finite or overflowing entry makes the defect NaN or infinite,
+    # which the comparison rejects.
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = np.abs(_adjoint(u) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    bad = np.flatnonzero(~(defect <= TOL))
     if bad.size:
         raise NotUnitary(f"unitarity defect {defect[bad[0]]:.3e}")
     u = u[:, None]

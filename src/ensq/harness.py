@@ -29,6 +29,8 @@ from .ensemble import (
     BLOCK_BYTES,
     Ensemble,
     Partition,
+    _factors_from_eigh,
+    _live_pairs,
     _norms_of,
     _pair_norms,
     _rank_one_factors,
@@ -100,8 +102,9 @@ def _build_ensembles(draws, dim: int, validate) -> tuple:
     The draws are grouped by Ginibre rank in one pass, and the states of
     each rank are generated in one batch.  The whole family is then
     validated in one call: ``validate_density_stack``, or
-    ``_validate_density_eigh`` where the eigenpairs serve later (the
-    property harness decomposes every member of E).
+    ``_validate_factored`` where the eigenpairs serve later (the property
+    harness decomposes every member of E, and hands E's and O's factors to
+    the pair kernel).
     """
     probs = np.array([p for p, _ in draws])
     probs = probs / probs.sum(axis=1, keepdims=True)
@@ -124,8 +127,14 @@ def random_ensemble(dim: int, members: int, rng, allow_zero_prob: bool = False) 
     return Ensemble.from_stack(probs[0], states[0])
 
 
-def _build_classical(draws) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise commuting ensembles: random diagonals in one random basis each."""
+def _build_classical(draws) -> tuple:
+    """Pairwise commuting ensembles: random diagonals in one random basis each.
+
+    Returns the probabilities, the validated states and the factors of the
+    batch-flattened members, from the diagonals and the basis, their
+    eigenpairs by construction: at d >= 8 they spare the kernel a member
+    ``eigh`` per state.
+    """
     u = haar_unitaries(np.stack([g for g, _, _ in draws]))
     probs = np.array([p for _, p, _ in draws])
     probs = probs / probs.sum(axis=1, keepdims=True)
@@ -133,7 +142,9 @@ def _build_classical(draws) -> tuple[np.ndarray, np.ndarray]:
     diag = np.array([d for _, _, d in draws])
     diag = diag / diag.sum(axis=-1, keepdims=True)
     m = (u[:, None] * diag[..., None, :]) @ _adjoint(u)[:, None]
-    return probs, validate_density_stack(_hermitize(m))
+    members, d = diag.shape[1:]
+    factors = _factors_from_eigh(diag.reshape(-1, d), np.repeat(u, members, axis=0))
+    return probs, validate_density_stack(_hermitize(m)), factors
 
 
 def _random_partition(n: int, probs: np.ndarray, rng) -> Partition:
@@ -196,15 +207,40 @@ def _classicality_fails(m: float, classical: bool, slack: float) -> bool:
     return m > slack if classical else m <= 0.0
 
 
-def _variant_values(probs, states, norms, target, parts, spec) -> np.ndarray:
-    """M ``(B, K)`` of ensemble b with member ``target[b]`` replaced by each
-    of ``parts[b]`` ``(K, d, d)``.
+def _validate_factored(stack) -> tuple:
+    """``_validate_density_eigh`` of a ``(B, m, d, d)`` stack: the validated
+    states, their eigenpairs ``(w, v)`` and the ``_factors_from_eigh`` of
+    the batch-flattened members, which the pair kernel takes in place of
+    its own member ``eigh``."""
+    states, w, v = _validate_density_eigh(stack)
+    d = states.shape[-1]
+    return states, (w, v), _factors_from_eigh(w.reshape(-1, d), v.reshape(-1, d, d))
 
+
+def _joined(n: int, *factor_sets) -> tuple:
+    """Factors of batch-flattened ensembles joined member-wise in each of the
+    ``n`` ensembles, as ``union_batch`` joins their states."""
+    return tuple(
+        np.concatenate([a.reshape(n, -1, *a.shape[1:]) for a in arrays], axis=1).reshape(
+            -1, *arrays[0].shape[1:]
+        )
+        for arrays in zip(*factor_sets)
+    )
+
+
+def _variant_values(probs, states, factors, norms, target, parts, vectors, spec) -> np.ndarray:
+    """M ``(B, K)`` of ensemble b with member ``target[b]`` replaced by each
+    of ``parts[b]`` ``(K, d, d)``, the projectors onto the unit ``vectors[b]``
+    ``(K, d)``.
+
+    ``factors`` are those of the batch-flattened members of ``states``, and
     ``norms`` is the ``_pair_norms`` table of the ensembles.  A variant
     keeps every pair that avoids the target, so only the target's live
     pairs are computed, in the variant's member order: [E_i, part] for
     i < target, else [part, E_i] (the swapped commutator is the negated
-    matrix, whose eigenvalues need not round the same).
+    matrix, whose eigenvalues need not round the same).  Every part is rank
+    1, with ``_rank_one_factors`` of its vector, so each of those pairs is
+    zero or takes the kernel's rank-1 route: no eigensolve runs.
     """
     n, m = probs.shape
     k, d = parts.shape[1], parts.shape[-1]
@@ -218,10 +254,12 @@ def _variant_values(probs, states, norms, target, parts, spec) -> np.ndarray:
     values = _norms_of(
         np.concatenate([states.reshape(-1, d, d), parts.reshape(-1, d, d)]),
         np.where(i < t, member, piece), np.where(i < t, piece, member), spec,
+        tuple(map(np.concatenate, zip(factors, _rank_one_factors(vectors.reshape(-1, d))))),
     )
     tables = np.repeat(norms[:, None], k, axis=1)
     tables[b, part, np.minimum(i, t), np.maximum(i, t)] = values
-    return _weighted_sums(np.repeat(probs, k, axis=0), tables.reshape(n * k, m, m)).reshape(n, k)
+    probs = np.repeat(probs, k, axis=0)
+    return _weighted_sums(probs, tables.reshape(n * k, m, m), _live_pairs(probs)).reshape(n, k)
 
 
 def _run_trials(
@@ -236,39 +274,49 @@ def _run_trials(
     n = len(draws)
     rows = np.arange(n)
 
-    # E's eigenpairs come from its validation and serve its decomposition.
-    probs, (states, w, v) = _build_ensembles(
-        [d.ensemble for d in draws], dim, _validate_density_eigh
+    # E's and O's eigenpairs come from their validation.  They serve E's
+    # decomposition, and as factors they spare the kernel its member eigh
+    # and send every pair with a rank-1 member down its rank-1 route.
+    probs, (states, eig, factors) = _build_ensembles(
+        [d.ensemble for d in draws], dim, _validate_factored
     )
     classical_e = is_classical_batch(probs, states, slack)
 
     # Positivity, and zero exactly on classical ensembles.
-    cl_probs, cl_states = _build_classical([d.classical for d in draws])
-    m_cl = quantumness_batch(cl_probs, cl_states, spec)
+    cl_probs, cl_states, cl_factors = _build_classical([d.classical for d in draws])
+    m_cl = quantumness_batch(cl_probs, cl_states, spec, cl_factors)
     classical_cl = is_classical_batch(cl_probs, cl_states, slack)
 
     u = haar_unitaries(np.stack([d.unitary for d in draws]))
-    m_conj = quantumness_batch(probs, conjugate_batch(states, u), spec)
+    # U v and the same shifted eigenvalues are eigenpairs of U rho U^+.
+    ranks, shifted, vecs = factors
+    u_vecs = (u[:, None] @ vecs.reshape(n, members, *vecs.shape[1:])).reshape(vecs.shape)
+    m_conj = quantumness_batch(probs, conjugate_batch(states, u), spec, (ranks, shifted, u_vecs))
 
     # E, O and their union from one table: the union's live pairs are among
     # those live under E's and O's own probabilities.
-    o_probs, o_states = _build_ensembles([d.other for d in draws], dim, validate_density_stack)
+    o_probs, (o_states, _, o_factors) = _build_ensembles(
+        [d.other for d in draws], dim, _validate_factored
+    )
     lam = np.array([d.lam for d in draws])
     lam = lam / lam.sum(axis=1, keepdims=True)
     u_probs, u_states = union_batch([probs, o_probs], [states, o_states], lam)
-    norms = _pair_norms(np.concatenate([probs, o_probs], axis=1), u_states, spec)
+    live = _live_pairs(np.concatenate([probs, o_probs], axis=1))
+    norms = _pair_norms(live, u_states, spec, _joined(n, factors, o_factors))
     e_norms = norms[:, :members, :members]
-    m_e = _weighted_sums(probs, e_norms)
-    m_o = _weighted_sums(o_probs, norms[:, members:, members:])
-    m_union = _weighted_sums(u_probs, norms)
+    m_e = _weighted_sums(probs, e_norms, _live_pairs(probs))
+    m_o = _weighted_sums(o_probs, norms[:, members:, members:], _live_pairs(o_probs))
+    m_union = _weighted_sums(u_probs, norms, _live_pairs(u_probs))
 
     # Every member's spectral decomposition serves both the decomposition
     # of the target member and the fine-graining, whose members are the
     # rank-1 projectors onto its eigenvectors.
-    weights, proj, vectors = _eigenprojectors(states, (w, v))
+    weights, proj, vectors = _eigenprojectors(states, eig)
     check_decompositions(weights, proj, states, range(members))
     target = np.array([d.target for d in draws])
-    m_var = _variant_values(probs, states, e_norms, target, proj[rows, target], spec)
+    m_var = _variant_values(
+        probs, states, factors, e_norms, target, proj[rows, target], vectors[rows, target], spec
+    )
     fine_probs = (probs[:, :, None] * weights).reshape(n, -1)
     check_weights(fine_probs, "ensemble probabilities")
     m_fine = quantumness_batch(

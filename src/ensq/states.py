@@ -355,9 +355,12 @@ class QuantumChannel:
         for k in ops:
             if k.shape[0] != dim:
                 raise DimensionMismatch("Kraus operators must share one dimension")
-        total = sum(k.conj().T @ k for k in ops)
-        defect = float(np.abs(total - np.eye(dim)).max())
-        if defect > TOL:
+        # A non-finite or overflowing entry makes the defect NaN or
+        # infinite, which the comparison rejects.
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = sum(k.conj().T @ k for k in ops)
+            defect = float(np.abs(total - np.eye(dim)).max())
+        if not defect <= TOL:
             raise InvalidState(f"Kraus completeness defect {defect:.3e}")
         object.__setattr__(self, "kraus", tuple(_frozen(k) for k in ops))
 

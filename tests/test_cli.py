@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ensq import cli, io
 from ensq.cli import build_parser, main
-from ensq.ensemble import Ensemble, _pair_norms, quantumness, quantumness_batch
+from ensq.ensemble import Ensemble, _live_pairs, _pair_norms, quantumness, quantumness_batch
 from ensq.errors import EnsembleFileError, EnsqError, ParamOutOfRange
 from ensq.harness import check_properties
 from ensq.linalg import InvalidNormSpec, NormSpec, norm
@@ -674,32 +674,43 @@ def count_eigensolves(monkeypatch):
 def test_load_and_compute_eigendecompose_each_member_once_from_d_8(tmp_path, monkeypatch):
     rng = np.random.default_rng(95)
     dim = 16
-    text = ranked_file(rng, dim, [1, 1, 3, 3, 3, dim, dim, dim], pure=3)
+    payload = json.loads(ranked_file(rng, dim, [1, 1, 3, 3, 3, dim, dim, dim], pure=3))
+    # A psi and a rho member nearly parallel to the first psi member, so that
+    # some rank-1 pairs have |c|^2 > 1/2.
+    first = np.array(payload["members"][-3]["psi"]).view(complex)[..., 0]
+    near = first + 1e-3 * unit_vectors(rng, 2, dim)
+    near /= np.linalg.norm(near, axis=1, keepdims=True)
+    for member in payload["members"]:
+        member["p"] *= 0.8
+    payload["members"] += [
+        psi_member(0.1, near[0]),
+        rho_member(0.1, np.outer(near[1], near[1].conj())),
+    ]
     path = tmp_path / "d16.json"
-    path.write_text(text)
+    path.write_text(json.dumps(payload))
     counts = count_eigensolves(monkeypatch)
     e = io.load_ensemble(path)
     quantumness(e, NormSpec.trace())
     # Kept-eigenvalue ranks: a full-rank state has no repeated eigenvalue.
-    # The three psi members come last; their factors are their amplitudes.
-    ranks = [1, 1, 3, 3, 3, dim - 1, dim - 1, dim - 1, 1, 1, 1]
+    # The psi members' factors are their amplitudes.
+    ranks = [1, 1, 3, 3, 3, dim - 1, dim - 1, dim - 1, 1, 1, 1, 1, 1]
     assert e.factors[0].tolist() == ranks
-    # Each pair's commutator: d x d on the dense route, k x k on the low-rank
-    # one, and none on the overlap route: two rank-1 members (projectors here)
-    # with |c|^2 = tr(P_a P_b) <= 1/2.
     stack = e.state_stack
-    overlap = [
-        ranks[a] == ranks[b] == 1 and np.trace(stack[a] @ stack[b]).real <= 0.5
+    overlaps = [
+        np.trace(stack[a] @ stack[b]).real
         for a, b in itertools.combinations(range(len(ranks)), 2)
+        if ranks[a] == ranks[b] == 1
     ]
-    assert sum(overlap) == 10
+    assert min(overlaps) <= 0.5 < max(overlaps)
+    # Each pair's commutator: none for a pair with a rank-1 member, at any
+    # overlap; k x k on the low-rank route and d x d on the dense one.
     pairs = Counter(
         ("eigvalsh", "pair", dim if 4 * (a + b) > dim else a + b)
-        for (a, b), skip in zip(itertools.combinations(ranks, 2), overlap)
-        if not skip
+        for a, b in itertools.combinations(ranks, 2)
+        if 1 not in (a, b)
     )
     # One eigh per rho member; none for the psi members.
-    assert +counts == {("eigh", "member", dim): len(ranks) - 3, **pairs}
+    assert +counts == {("eigh", "member", dim): len(ranks) - 4, **pairs}
 
 
 def below_d_8_file(rng, name):
@@ -755,7 +766,8 @@ def test_loaded_ensembles_below_d_8_match_the_oracle(tmp_path, name):
         want = naive_quantumness(list(zip(probs.tolist(), stack)), spec)
         assert quantumness(e, spec) == pytest.approx(want, rel=1e-12, abs=1e-14)
         # A pair with a multiple of the identity commutes exactly.
-        norms = _pair_norms(e.probabilities[None], e.state_stack[None], spec, e.factors)[0]
+        live = _live_pairs(e.probabilities[None])
+        norms = _pair_norms(live, e.state_stack[None], spec, e.factors)[0]
         i, j = np.nonzero(~np.isnan(norms))
         with_identity = (ranks[i] == 0) | (ranks[j] == 0)
         assert (norms[i, j][with_identity] == 0.0).all()
@@ -789,22 +801,24 @@ def test_load_and_compute_below_d_8_eigendecompose_each_member_once(tmp_path, mo
             assert clamped
         else:
             assert ranks == [0, 1, 1, 1, 1]
-        # Every pair with a rank-0 member is zero, and two rank-1 members
-        # (projectors here) with |c|^2 = tr(P_a P_b) <= 1/2 take the overlap
-        # route; only the other pairs take the dense route's eigvalsh.
+        # Every pair with a rank-0 member is zero, and every pair with a
+        # rank-1 member takes the rank-1 route, with rank-1 pairs on both
+        # sides of |c|^2 = tr(P_a P_b) = 1/2; only the other pairs take the
+        # dense route's eigvalsh.
         stack = e.state_stack
-        skipped = [
-            0 in (ranks[a], ranks[b])
-            or ranks[a] == ranks[b] == 1 and np.trace(stack[a] @ stack[b]).real <= 0.5
-            for a, b in itertools.combinations(range(len(ranks)), 2)
+        combos = list(itertools.combinations(range(len(ranks)), 2))
+        overlaps = [
+            np.trace(stack[a] @ stack[b]).real for a, b in combos if ranks[a] == ranks[b] == 1
         ]
-        assert 0 < sum(skipped) < len(skipped)
+        assert min(overlaps) <= 0.5 < max(overlaps)
+        dense = sum(ranks[a] > 1 and ranks[b] > 1 for a, b in combos)
+        assert dense == (10 if dim == 4 else 0)
         # One eigh per rho or bloch member, none for psi members and no
         # member eigvalsh at all.
         rho_or_bloch = sum("psi" not in m for m in data["members"])
         assert +counts == {
             ("eigh", "member", dim): rho_or_bloch,
-            ("eigvalsh", "pair", dim): len(skipped) - sum(skipped),
+            **({("eigvalsh", "pair", dim): dense} if dense else {}),
         }
 
 

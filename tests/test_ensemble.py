@@ -14,6 +14,7 @@ from ensq.ensemble import (
     _pair_singular_values,
     check_weights,
     coarse_grain,
+    conjugate_batch,
     decompose_member,
     fine_grain,
     is_classical,
@@ -220,8 +221,8 @@ def test_quantumness_known_two_pure_state_value():
 
 
 def test_pair_commutator_singular_values_match_analytic_form():
-    # d < 8 takes the dense route; at d = 16 and 32, random pure pairs have
-    # |c|^2 <= 1/2 almost surely and take the overlap route.
+    # d < 8 takes the dense route; at d = 16 and 32, the members' eigh gives
+    # them rank 1, and the pairs take the rank-1 route.
     rng = np.random.default_rng(41)
     for dim in (2, 3, 4, 16, 32):
         for _ in range(20):
@@ -285,6 +286,7 @@ def test_duplicate_members_are_kept_not_merged():
     assert ratio == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
 def test_unitary_conjugate_invariance_and_validation():
     rng = np.random.default_rng(46)
     for dim in (2, 3):
@@ -295,6 +297,15 @@ def test_unitary_conjugate_invariance_and_validation():
             assert abs(quantumness(rotated, spec) - quantumness(e, spec)) <= 1e-9
     with pytest.raises(NotUnitary):
         unitary_conjugate(e, np.eye(3) * 0.5)
+    # A NaN defect fails no "> TOL" test; non-finite and overflowing entries
+    # are rejected as not unitary, with no numpy warning.
+    for bad in (np.nan, np.inf, 1e200):
+        u = np.eye(3, dtype=complex)
+        u[0, 1] = bad
+        with pytest.raises(NotUnitary):
+            unitary_conjugate(e, u)
+        with pytest.raises(NotUnitary):
+            conjugate_batch(e.state_stack[None], np.full((1, 3, 3), bad))
     with pytest.raises(DimensionMismatch):
         unitary_conjugate(e, np.eye(4))
 

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ensq import harness
+from ensq import ensemble, harness
 from ensq.ensemble import (
     Ensemble,
+    _live_pairs,
     _pair_norms,
+    _rank_one_factors,
     _weighted_sums,
     is_classical,
     quantumness,
@@ -28,14 +30,16 @@ from ensq.harness import (
     _build_ensembles,
     _classicality_fails,
     _draw_ensemble,
+    _joined,
     _trial_draws,
+    _validate_factored,
     _variant_values,
     check_properties,
     run_single_trial,
 )
 from ensq.linalg import NormSpec
 from ensq.measures import plus_state
-from ensq.states import PureState, eigenprojectors, projector, validate_density_stack
+from ensq.states import PureState, _eigenprojectors, projector
 
 from _oracles import draw_trial
 
@@ -138,15 +142,17 @@ GRID_NORMS = [
 
 
 def _union_and_variant_case(dim, n=12, members=3):
-    """E (zero-probability members, targets at 0 and m - 1), O, union weights
-    with a zero, and each target's eigenprojectors as its parts."""
+    """E and O with the factors of their validation, as the harness builds
+    them (E with zero-probability members, targets at 0 and m - 1), union
+    weights with a zero, and each target's eigenprojectors and their unit
+    vectors as its parts."""
     rng = np.random.default_rng([31, dim])
-    probs, states = _build_ensembles(
+    probs, (states, eig, factors) = _build_ensembles(
         [_draw_ensemble(rng, dim, members, allow_zero_prob=True) for _ in range(n)], dim,
-        validate_density_stack,
+        _validate_factored,
     )
-    o_probs, o_states = _build_ensembles(
-        [_draw_ensemble(rng, dim, members) for _ in range(n)], dim, validate_density_stack
+    o_probs, (o_states, _, o_factors) = _build_ensembles(
+        [_draw_ensemble(rng, dim, members) for _ in range(n)], dim, _validate_factored
     )
     for row, dead in ((0, 0), (1, members - 1), (2, 1)):
         probs[row, dead] = 0.0
@@ -156,68 +162,98 @@ def _union_and_variant_case(dim, n=12, members=3):
     lam = rng.random((n, 2))
     lam[4:6] = [[1.0, 0.0], [0.0, 1.0]]
     lam = lam / lam.sum(axis=1, keepdims=True)
-    parts = eigenprojectors(states)[1][np.arange(n), target]
-    return probs, states, o_probs, o_states, lam, target, parts
+    _, proj, vectors = _eigenprojectors(states, eig)
+    rows = np.arange(n)
+    return (
+        (probs, states, factors), (o_probs, o_states, o_factors), lam, target,
+        proj[rows, target], vectors[rows, target],
+    )
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 9, 16])
 @pytest.mark.parametrize("spec", GRID_NORMS, ids=lambda s: s.label())
 def test_spliced_union_and_variant_values_equal_the_plain_kernel_bit_for_bit(dim, spec):
     # One table serves E, O and their union, and the variants compute only
-    # the target's pairs; plain kernel calls on whole ensembles must give
-    # the same bits.
-    probs, states, o_probs, o_states, lam, target, parts = _union_and_variant_case(dim)
+    # the target's pairs; plain kernel calls on whole ensembles, given the
+    # same factors, must give the same bits.
+    e, o, lam, target, parts, vectors = _union_and_variant_case(dim)
+    (probs, states, factors), (o_probs, o_states, o_factors) = e, o
     n, members = probs.shape
     u_probs, u_states = union_batch([probs, o_probs], [states, o_states], lam)
-    norms = _pair_norms(np.concatenate([probs, o_probs], axis=1), u_states, spec)
+    u_factors = _joined(n, factors, o_factors)
+    live = _live_pairs(np.concatenate([probs, o_probs], axis=1))
+    norms = _pair_norms(live, u_states, spec, u_factors)
     e_norms = norms[:, :members, :members]
-    assert _bits(_weighted_sums(probs, e_norms)) == _bits(quantumness_batch(probs, states, spec))
-    assert _bits(_weighted_sums(o_probs, norms[:, members:, members:])) == _bits(
-        quantumness_batch(o_probs, o_states, spec)
+    assert _bits(_weighted_sums(probs, e_norms, _live_pairs(probs))) == _bits(
+        quantumness_batch(probs, states, spec, factors)
     )
-    assert _bits(_weighted_sums(u_probs, norms)) == _bits(
-        quantumness_batch(u_probs, u_states, spec)
+    assert _bits(_weighted_sums(o_probs, norms[:, members:, members:], _live_pairs(o_probs))) == (
+        _bits(quantumness_batch(o_probs, o_states, spec, o_factors))
+    )
+    assert _bits(_weighted_sums(u_probs, norms, _live_pairs(u_probs))) == _bits(
+        quantumness_batch(u_probs, u_states, spec, u_factors)
     )
 
-    got = _variant_values(probs, states, e_norms, target, parts, spec)
+    got = _variant_values(probs, states, factors, e_norms, target, parts, vectors, spec)
+    rows = np.arange(n)
     variants = np.repeat(states[:, None], dim, axis=1)
-    variants[np.arange(n), :, target] = parts
+    variants[rows, :, target] = parts
+    variant_factors = []
+    for whole, part in zip(factors, _rank_one_factors(vectors.reshape(-1, dim))):
+        whole = np.repeat(whole.reshape(n, 1, members, *whole.shape[1:]), dim, axis=1)
+        whole[rows, :, target] = part.reshape(n, dim, *part.shape[1:])
+        variant_factors.append(whole.reshape(-1, *part.shape[1:]))
     want = quantumness_batch(
-        np.repeat(probs, dim, axis=0), variants.reshape(n * dim, members, dim, dim), spec
+        np.repeat(probs, dim, axis=0), variants.reshape(n * dim, members, dim, dim), spec,
+        tuple(variant_factors),
     )
     assert _bits(got.ravel()) == _bits(want)
 
 
-def test_variants_eigendecompose_each_member_and_part_once(monkeypatch):
-    # At d = 16 the kernel decomposes the members of its pairs.  The variants
-    # pair E's live members with the target's parts, and decompose each once,
-    # not once per variant that holds it.
-    dim = 16
-    probs, states, _, _, _, target, parts = _union_and_variant_case(dim)
-    n = len(probs)
-    norms = _pair_norms(probs, states, NormSpec.trace())
-    rows = []
+@pytest.mark.parametrize("dim", [2, 16])
+def test_variants_take_no_eigensolve(dim, monkeypatch):
+    # Every part is a rank-1 projector with its vector as factors, so each
+    # of the target's pairs is zero or takes the kernel's rank-1 route.
+    e, _, _, target, parts, vectors = _union_and_variant_case(dim)
+    probs, states, factors = e
+    norms = _pair_norms(_live_pairs(probs), states, NormSpec.trace(), factors)
+    solved = []
+    for name in ("eigvalsh", "eigh", "qr"):
 
-    def counted(a, *args, _solve=np.linalg.eigh, **kwargs):
-        rows.append(len(a))
-        return _solve(a, *args, **kwargs)
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            solved.append((_name, np.shape(a)))
+            return _solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    _variant_values(probs, states, norms, target, parts, NormSpec.trace())
-    live = probs > 0.0
-    others = live.sum(axis=1) - live[np.arange(n), target]
-    paired = live[np.arange(n), target] & (others > 0)
-    assert sum(rows) == int((others + dim)[paired].sum())
-    assert sum(rows) < int(live[paired].sum(axis=1).sum() * dim)
+        monkeypatch.setattr(np.linalg, name, counted)
+    got = _variant_values(probs, states, factors, norms, target, parts, vectors, NormSpec.trace())
+    assert solved == []
+    assert np.isfinite(got).all() and (got > 0.0).any()
 
 
 @pytest.mark.parametrize("spec", GRID_NORMS, ids=lambda s: s.label())
 def test_property_suite_holds_at_d_16(spec):
-    # At d = 16 the kernel's overlap, low-rank and dense routes all serve the
-    # six properties (criterion 6's grid stops at d = 4, all dense).
+    # At d = 16 the kernel's rank-0, rank-1, low-rank and dense routes all
+    # serve the six properties (criterion 6's grid stops at d = 4, where the
+    # low-rank route admits no pair).
     report = check_properties(16, 3, trials=50, seed=16, spec=spec)
     assert report.all_passed(), report.render()
     assert report.worst_slack() <= 1e-9
+
+
+def test_only_coarse_grained_members_are_eigendecomposed_by_the_kernel(monkeypatch):
+    # Every other stack of a trial reaches the kernel with factors: E, O and
+    # their union, the conjugated E, the variants, the fine-grained and the
+    # classical ensembles.  At d = 16 the kernel's own member eigh then runs
+    # once per batch of coarse-grained ensembles with more than one block.
+    calls = []
+    decompose = ensemble._low_rank_factors
+    monkeypatch.setattr(
+        ensemble, "_low_rank_factors", lambda s, live: calls.append(len(s)) or decompose(s, live)
+    )
+    dim, members, trials = 16, 4, 20
+    assert check_properties(dim, members, trials, 1, NormSpec.trace()).all_passed()
+    blocks = [len(d.partition.blocks) for d in _trial_draws(dim, members, 1, range(trials))]
+    assert sorted(calls) == sorted(nb * blocks.count(nb) for nb in set(blocks) if nb > 1)
 
 
 def _ensemble_bytes(draw):

@@ -1,14 +1,13 @@
-"""The pair kernel's routes: rank 0, overlap, low-rank and dense.
+"""The pair kernel's routes: rank 0, rank 1, low-rank and dense.
 
-A pair with a rank-0 member is zero.  Two rank-1 members with
-``|c|^2 <= 1/2`` take the overlap route, ``|lambda_i lambda_j| |c|
-sqrt(1 - |c|^2)`` twice; nearer-parallel rank-1 pairs keep the other two.
-Ranks with 4 (r_i + r_j) <= d take the low-rank route, and every other
-pair the dense one.  Members carry factors at d >= 8, or wherever a source
-hands them over (the property harness's fine-grained eigenprojectors at
-every d).  Every value is checked against oracles that share no code with
-the kernel: the naive ordered-pair sum over SVD norms and the
-two-pure-state closed form 2 sqrt(p_1 p_2) ||[P, Q]|| with singular values
+A pair with a rank-0 member is zero.  A pair with a rank-1 member takes
+the rank-1 route, a projection with no eigensolve, at any overlap.  Ranks
+r_i, r_j >= 2 with 4 (r_i + r_j) <= d take the low-rank route, and every
+other pair the dense one.  Members carry factors at d >= 8, or wherever a
+source hands them over (the loader and the property harness, at every d).
+Every value is checked against oracles that share no code with the
+kernel: the naive ordered-pair sum over SVD norms and the two-pure-state
+closed form 2 sqrt(p_1 p_2) ||[P, Q]|| with singular values
 c sqrt(1 - c^2).
 """
 
@@ -22,6 +21,7 @@ from hypothesis import strategies as st
 from ensq import ensemble, linalg
 from ensq.ensemble import (
     Ensemble,
+    _factors_from_eigh,
     _low_rank_factors,
     _pair_singular_values,
     _rank_one_factors,
@@ -32,6 +32,7 @@ from ensq.ensemble import (
 )
 from ensq.errors import InvalidNormSpec
 from ensq.linalg import NormSpec
+from ensq.states import validate_density_stack
 
 from _oracles import analytic_pair_singular_values, naive_quantumness
 
@@ -272,13 +273,13 @@ def overlap_pair(dim, c, eps, rng, rotate):
 @example(dim=2, c=1.0 - 1e-12, eps=(1.0, 1.0), rotate=False, seed=1)
 @example(dim=16, c=1.0 - 1e-12, eps=(0.75, 0.5), rotate=False, seed=2)
 @example(dim=3, c=math.sqrt(0.5), eps=(0.75, 0.5), rotate=True, seed=3)
-def test_rank_one_pairs_match_the_closed_form_on_both_sides_of_the_guard(
-    dim, c, eps, rotate, seed
-):
+def test_rank_one_pairs_match_the_closed_form_at_any_overlap(dim, c, eps, rotate, seed):
     # Shifted members ((1 - eps) I/d + eps P) have mu != 0 and lambda = eps.
     # Their factors are handed over at every d, as the harness hands over
-    # those of its eigenprojectors: the kernel picks the overlap route for
-    # |c|^2 <= 1/2 and keeps the low-rank (d >= 8) or dense route above.
+    # those of its eigenprojectors, and the pair takes the rank-1 route on
+    # both sides of |c|^2 = 1/2.  Near c = 1 the closed form's
+    # c sqrt(1 - c^2), computed from the vectors' overlap, would miss the
+    # unrotated tolerance by orders of magnitude.
     rng = np.random.default_rng(seed)
     stack, vectors = overlap_pair(dim, c, eps, rng, rotate)
     ranks, lam, vecs = _rank_one_factors(vectors)
@@ -298,10 +299,39 @@ def test_rank_one_pairs_match_the_closed_form_on_both_sides_of_the_guard(
             assert value == pytest.approx(naive_quantumness(pair, spec), rel=1e-12, abs=1e-15)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    dim=st.sampled_from([2, 3, 4, 8, 16]),
+    rank=st.integers(1, 16),
+    eps=st.floats(0.05, 1.0),
+    rank_one_first=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_one_route_agrees_with_dense_route(dim, rank, eps, rank_one_first, seed):
+    # A validated random state A of any rank, with its eigh factors, and a
+    # shifted rank-1 member B = (1 - eps) I/d + eps P, in either order.  A
+    # rank-1 A takes the route's vector form, any other A its mat-vec.
+    rng = np.random.default_rng(seed)
+    a = validate_density_stack(low_rank_state(dim, min(rank, dim), rng)[None])[0]
+    v = unitary(dim, rng)[:, 0]
+    b = (1.0 - eps) * np.eye(dim) / dim + eps * np.outer(v, v.conj())
+    f_a = _factors_from_eigh(*np.linalg.eigh(a[None]))
+    f_b = _rank_one_factors(v[None])
+    f_b = f_b[0], f_b[1] * eps, f_b[2]
+    pieces = (f_b, f_a) if rank_one_first else (f_a, f_b)
+    factors = tuple(map(np.concatenate, zip(*pieces)))
+    stack = np.stack([b, a] if rank_one_first else [a, b])
+    assert 1 in factors[0][:2] and 0 not in factors[0][:2]
+    i, j = np.array([0]), np.array([1])
+    got = _pair_singular_values(stack, i, j, factors)[0]
+    dense = _pair_singular_values(stack, i, j, None)[0]
+    assert np.abs(got - dense).max() <= 1e-12 * dense[0] + 1e-15
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 16])
-def test_kyfan_orders_up_to_the_dimension_on_the_overlap_route(dim):
+def test_kyfan_orders_up_to_the_dimension_on_the_rank_one_route(dim):
     rng = np.random.default_rng(88)
-    # Unit vectors with |c| = 1/2: overlap route at every d.
+    # Unit vectors with |c| = 1/2: rank-1 route at every d.
     v = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
     v[0] /= np.linalg.norm(v[0])
     v[1] -= np.vdot(v[0], v[1]) * v[0]
@@ -320,23 +350,34 @@ def test_kyfan_orders_up_to_the_dimension_on_the_overlap_route(dim):
         quantumness_batch(probs, stack[None], NormSpec.kyfan(dim + 1), factors)
 
 
-def test_overlap_route_takes_no_eigensolve_and_the_guard_keeps_the_rest(monkeypatch):
-    rng = np.random.default_rng(89)
-    d = 16
-    near = overlap_pair(d, 1.0 - 1e-9, (1.0, 1.0), rng, rotate=False)[0]
-    far = overlap_pair(d, 0.5, (1.0, 0.5), rng, rotate=False)[0]
-    stack = np.concatenate([near, far])
-    factors = _low_rank_factors(stack, np.ones(4, dtype=bool))
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_rank_one_route_takes_no_eigensolve_at_any_overlap(dim, monkeypatch):
+    # Rank-1 pairs on both sides of |c|^2 = 1/2, and a rank-1 member paired
+    # with a full-rank one in either order: no eigvalsh, eigh or qr runs.
+    rng = np.random.default_rng([89, dim])
+    near = overlap_pair(dim, 1.0 - 1e-9, (1.0, 1.0), rng, rotate=False)
+    far = overlap_pair(dim, 0.5, (1.0, 0.5), rng, rotate=False)
+    full = low_rank_state(dim, dim, rng)
+    stack = np.concatenate([near[0], far[0], full[None]])
+    ranks, lam, vecs = _rank_one_factors(np.concatenate([near[1], far[1]]))
+    lam[3] *= 0.5
+    f_full = _factors_from_eigh(*np.linalg.eigh(full[None]))
+    factors = tuple(map(np.concatenate, zip((ranks, lam, vecs), f_full)))
+    assert factors[0].tolist() == [1, 1, 1, 1, dim - 1]
     solved = []
+    for name in ("eigvalsh", "eigh", "qr"):
 
-    def counted(a, *args, _solve=np.linalg.eigvalsh, **kwargs):
-        solved.append(np.shape(a))
-        return _solve(a, *args, **kwargs)
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            solved.append((_name, np.shape(a)))
+            return _solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    # |c|^2 = 0.25: no eigensolve.  |c|^2 = 1 - 2e-9: one 2 x 2 (QR route).
-    got = _pair_singular_values(stack, np.array([2, 0]), np.array([3, 1]), factors)
-    assert solved == [(1, 2, 2)]
-    for row, c, scale in zip(got, (0.5, 1.0 - 1e-9), (0.5, 1.0)):
-        want = scale * analytic_pair_singular_values(c, d)
+        monkeypatch.setattr(np.linalg, name, counted)
+    i, j = np.array([0, 2, 0, 4]), np.array([1, 3, 4, 2])
+    got = _pair_singular_values(stack, i, j, factors)
+    assert solved == []
+    monkeypatch.undo()
+    for row, c, scale in zip(got, (1.0 - 1e-9, 0.5), (1.0, 0.5)):
+        want = scale * analytic_pair_singular_values(c, dim)
         assert np.abs(row - want).max() <= 1e-12 * want[0]
+    dense = _pair_singular_values(stack, i[2:], j[2:], None)
+    assert np.abs(got[2:] - dense).max() <= 1e-12 * dense[:, 0].max()

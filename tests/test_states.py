@@ -153,9 +153,16 @@ def test_projector_is_rank_one_and_idempotent():
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_channel_completeness_enforced():
     with pytest.raises(InvalidState):
         QuantumChannel((np.eye(2) * 0.5,))
+    # Non-finite and overflowing Kraus entries, with no numpy warning.
+    for bad in (np.nan, np.inf, 1e200):
+        with pytest.raises(InvalidState, match="completeness"):
+            QuantumChannel((np.full((2, 2), bad),))
+        with pytest.raises(InvalidState, match="completeness"):
+            QuantumChannel((np.diag([bad, 1.0]),))
     with pytest.raises(InvalidState):
         QuantumChannel(())
     with pytest.raises(DimensionMismatch):
