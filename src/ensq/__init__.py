@@ -26,7 +26,6 @@ from .io import load_ensemble, save_ensemble
 from .linalg import (
     NormSpec,
     commutator,
-    gram_singular_values,
     hermitian_eigenvalues,
     norm,
     singular_values,
@@ -94,7 +93,6 @@ __all__ = [
     "density_from_bloch",
     "errors",
     "fine_grain",
-    "gram_singular_values",
     "hermitian_eigenvalues",
     "is_classical",
     "load_ensemble",

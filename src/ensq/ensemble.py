@@ -32,6 +32,7 @@ from .errors import (
 )
 from .linalg import TOL, NormSpec
 from .states import DensityMatrix, _adjoint, _hermitize, _validated, validate_density_stack
+from .states import _validate_density_eigh
 
 __all__ = [
     "Ensemble",
@@ -128,8 +129,9 @@ class Ensemble:
     eigendecomposition or from a pure member's amplitudes, so that
     ``quantumness`` runs no member ``eigh`` of its own, and every pair
     with a rank-1 member takes the kernel's rank-1 route, at every d.
-    ``io.load_ensemble`` supplies them on every ``Ensemble`` it returns.
-    Every other constructor and transform leaves them None.  (The property
+    ``io.load_ensemble`` supplies them on every ``Ensemble`` it returns,
+    and ``coarse_grain`` from d = 8 on (``coarse_grain_batch``).  Every
+    other constructor and transform leaves them None.  (The property
     harness hands the kernel factors of its own stacks, from their
     validation ``eigh``, their construction or their eigenvectors, without
     building an ``Ensemble``.)
@@ -201,16 +203,15 @@ class Ensemble:
 # matrix or one row.
 
 
-def _low_rank_factors(states: np.ndarray, live: np.ndarray):
-    """``_factors_from_eigh`` of each live member; None when d < 8.
-
-    Members where ``live`` is False are left at rank 0 and zero factors.
-    """
+def _low_rank_factors(states: np.ndarray, live: np.ndarray, eig=None):
+    """``_factors_from_eigh`` of each live member, from ``eig``, the eigenpairs
+    of ``states[live]``, or one ``eigh`` each; None when d < 8.  Members
+    where ``live`` is False are left at rank 0 and zero factors."""
     n, d = states.shape[0], states.shape[-1]
     if d < LOW_RANK_MIN_DIM:
         return None
     try:
-        w, v = np.linalg.eigh(states[live])
+        w, v = np.linalg.eigh(states[live]) if eig is None else eig
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     ranks = np.zeros(n, dtype=int)
@@ -300,8 +301,9 @@ def _rank_one_values(states: np.ndarray, i, j, factors) -> np.ndarray:
     return scale * np.sqrt(np.einsum("ni,ni->n", x, x))
 
 
-def _pair_singular_values(states: np.ndarray, i, j, factors) -> np.ndarray:
-    """Singular values ``(n, d)``, nonincreasing, of [states[i], states[j]].
+def _pair_singular_values(states: np.ndarray, i, j, factors, spec=None) -> np.ndarray:
+    """Singular values ``(n, d)``, nonincreasing, of [states[i], states[j]];
+    given a norm ``spec``, the pairs' norms ``(n,)`` instead.
 
     ``i`` and ``j`` index the stack ``states`` ``(N, d, d)``, and
     ``factors`` holds its members' low-rank factors (``_factors_from_eigh``),
@@ -313,34 +315,51 @@ def _pair_singular_values(states: np.ndarray, i, j, factors) -> np.ndarray:
     * a pair with a rank-1 member takes the rank-1 route
       (``_rank_one_values``): a projection, and no eigensolve;
     * ranks r_i, r_j >= 2 with 4 (r_i + r_j) <= d take the low-rank route;
-    * every other pair takes the dense route: the full d x d commutator
-      and its eigenvalues.
+    * every other pair takes the dense route: the d x d commutator from
+      one product (``_commutators``), its Frobenius norm from the entries
+      and anything else from its eigenvalues (``linalg._antihermitian_norms``).
 
     Low-rank pairs are grouped by (r_i, r_j) and never padded to another
     pair's rank, so no pair's values depend on the pairs computed with it.
     """
-    if factors is None:
-        a, b = states[i], states[j]
-        return linalg.antihermitian_singular_values(a @ b - b @ a)
-    ranks, lam, vecs = factors
-    r_i, r_j = ranks[i], ranks[j]
     d = states.shape[-1]
     out = np.zeros((len(i), d))
-    live = (r_i > 0) & (r_j > 0)
-    one = np.flatnonzero(live & ((r_i == 1) | (r_j == 1)))
-    out[one, :2] = _rank_one_values(states, i[one], j[one], factors)[:, None]
-    rest = live & (r_i > 1) & (r_j > 1)
-    dense = rest & (4 * (r_i + r_j) > d)
-    low = np.flatnonzero(rest & ~dense)
-    for r_a, r_b in sorted(set(zip(r_i[low].tolist(), r_j[low].tolist()))):
-        sel = low[(r_i[low] == r_a) & (r_j[low] == r_b)]
-        a, b = i[sel], j[sel]
-        out[sel, : r_a + r_b] = _low_rank_singular_values(
-            lam[a, :r_a], vecs[a, :, :r_a], lam[b, :r_b], vecs[b, :, :r_b]
+    dense = np.arange(len(i))
+    if factors is not None:
+        ranks, lam, vecs = factors
+        r_i, r_j = ranks[i], ranks[j]
+        live = (r_i > 0) & (r_j > 0)
+        one = np.flatnonzero(live & ((r_i == 1) | (r_j == 1)))
+        out[one, :2] = _rank_one_values(states, i[one], j[one], factors)[:, None]
+        rest = live & (r_i > 1) & (r_j > 1)
+        small = 4 * (r_i + r_j) <= d
+        low = np.flatnonzero(rest & small)
+        for r_a, r_b in sorted(set(zip(r_i[low].tolist(), r_j[low].tolist()))):
+            sel = low[(r_i[low] == r_a) & (r_j[low] == r_b)]
+            a, b = i[sel], j[sel]
+            out[sel, : r_a + r_b] = _low_rank_singular_values(
+                lam[a, :r_a], vecs[a, :, :r_a], lam[b, :r_b], vecs[b, :, :r_b]
+            )
+        dense = np.flatnonzero(rest & ~small)
+    if spec is not None:
+        out = np.zeros(len(i)) if factors is None else linalg.norm_from_singular_values(out, spec)
+    for blk, c in _commutators(states, i[dense], j[dense]):
+        out[dense[blk]] = (
+            linalg.antihermitian_singular_values(c) if spec is None
+            else linalg._antihermitian_norms(c, spec)
         )
-    if dense.any():
-        out[dense] = _pair_singular_values(states, i[dense], j[dense], None)
     return out
+
+
+def _commutators(states: np.ndarray, i, j):
+    """The dense commutator walk of the kernel and ``is_classical_batch``:
+    ``(block, C)`` for the pairs (states[i], states[j]), in blocks of at
+    most ``BLOCK_BYTES``.  For Hermitian A and B, BA = (AB)^+, so
+    C = X - X^+ with X = A B is [A, B] from one product, and C + C^+ is
+    exactly zero."""
+    for blk in _pair_blocks(len(i), states.shape[-1]):
+        x = states[i[blk]] @ states[j[blk]]
+        yield blk, x - _adjoint(x)
 
 
 @functools.lru_cache(maxsize=64)
@@ -385,8 +404,7 @@ def _norms_of(members, first, second, spec: NormSpec, factors=None) -> np.ndarra
         factors = _low_rank_factors(members, needed)
     norms = np.empty(len(first))
     for blk in _pair_blocks(len(first), d):
-        sv = _pair_singular_values(members, first[blk], second[blk], factors)
-        norms[blk] = linalg.norm_from_singular_values(sv, spec)
+        norms[blk] = _pair_singular_values(members, first[blk], second[blk], factors, spec)
     return norms
 
 
@@ -437,19 +455,16 @@ def quantumness_batch(probs, states, spec: NormSpec, factors=None) -> np.ndarray
 def is_classical_batch(probs, states, tol: float = 1e-9) -> np.ndarray:
     """Per ensemble of a stack: do all positive-probability members commute?
 
-    See :func:`is_classical`; returns a boolean array of length B.
+    See :func:`is_classical`; returns a boolean array of length B.  Every
+    live pair's dense commutator (``_commutators``) is measured entrywise.
     """
     probs = np.asarray(probs, dtype=float)
     states = np.asarray(states)
     owner, i, j = _live_pairs(probs)
     m, d = probs.shape[1], states.shape[-1]
-    members = states.reshape(-1, d, d)
     classical = np.ones(len(probs), dtype=bool)
-    for blk in _pair_blocks(len(owner), d):
-        a, c = members[owner[blk] * m + i[blk]], members[owner[blk] * m + j[blk]]
-        comm = a @ c - c @ a
-        frobenius = np.sqrt(np.sum(np.abs(comm) ** 2, axis=(-2, -1)))
-        classical[owner[blk][frobenius > tol]] = False
+    for blk, c in _commutators(states.reshape(-1, d, d), owner * m + i, owner * m + j):
+        classical[owner[blk][linalg._antihermitian_norms(c, NormSpec.frobenius()) > tol]] = False
     return classical
 
 
@@ -509,22 +524,27 @@ def check_decompositions(weights, parts, targets, members) -> None:
         )
 
 
-def coarse_grain_batch(probs, states, partitions) -> tuple[np.ndarray, np.ndarray]:
+def coarse_grain_batch(probs, states, partitions) -> tuple:
     """Merge index blocks into their barycenters, batched.
 
-    ``partitions[b]`` is the :class:`Partition` of ensemble b; every
-    partition of the batch has the same number of blocks.  Block s becomes
-    one member with probability p_s (the exact sum of its probabilities)
-    and state sum (p_i / p_s) rho_i, accumulated in the block's index order.
+    ``partitions[b]`` is the :class:`Partition` of ensemble b, or its
+    blocks; each must hold every member index once.  Block s becomes one
+    member with probability p_s (the exact sum of its probabilities) and
+    state sum (p_i / p_s) rho_i, accumulated in the block's index order.
+    Rows are padded to the largest block count with zero-probability
+    members I/d, which are in no live pair and are not validated.  Returns
+    the probabilities, the states and their factors: from d = 8 on, the
+    eigenpairs of one validation ``eigh`` per barycenter, below it None.
     """
-    probs = np.asarray(probs, dtype=float)
-    for partition in partitions:
-        partition.validate_for(probs.shape[1])
-    blocks = [partition.blocks for partition in partitions]
+    probs, n = np.asarray(probs, dtype=float), np.shape(probs)[1]
+    blocks = [getattr(partition, "blocks", partition) for partition in partitions]
+    for row in blocks:
+        if sorted(i for blk in row for i in blk) != list(range(n)):
+            raise InvalidPartition(f"blocks do not cover exactly 0..{n - 1}")
     width = max(len(blk) for row in blocks for blk in row)
-    index = np.zeros((len(blocks), len(blocks[0]), width), dtype=int)
+    index = np.zeros((len(blocks), max(map(len, blocks)), width), dtype=int)
     coeff = np.zeros(index.shape)
-    block_probs = np.empty(index.shape[:2])
+    block_probs = np.zeros(index.shape[:2])
     for b, (row, p) in enumerate(zip(blocks, probs.tolist())):
         for s, blk in enumerate(row):
             p_s = math.fsum(p[i] for i in blk)
@@ -534,11 +554,21 @@ def coarse_grain_batch(probs, states, partitions) -> tuple[np.ndarray, np.ndarra
             index[b, s, : len(blk)] = blk
             coeff[b, s, : len(blk)] = [p[i] / p_s for i in blk]
     check_weights(block_probs, "ensemble probabilities")
-    owner = np.arange(len(blocks))[:, None]
+    real = block_probs > 0.0
+    owner, index, coeff = np.nonzero(real)[0], index[real], coeff[real]
     m = 0
     for t in range(width):
-        m = m + coeff[:, :, t, None, None] * states[owner, index[:, :, t]]
-    return block_probs, validate_density_stack(_hermitize(m))
+        m = m + coeff[:, t, None, None] * states[owner, index[:, t]]
+    d = states.shape[-1]
+    out = np.broadcast_to(np.eye(d, dtype=complex) / d, (*real.shape, d, d)).copy()
+    factors = None
+    if d < LOW_RANK_MIN_DIM:
+        out[real] = validate_density_stack(_hermitize(m))
+    else:
+        out[real], w, v = _validate_density_eigh(_hermitize(m))
+        factors = _low_rank_factors(out.reshape(-1, d, d), real.ravel(), (w, v))
+    out.setflags(write=False)
+    return block_probs, out, factors
 
 
 def quantumness(ensemble: Ensemble, spec: NormSpec) -> float:
@@ -691,7 +721,7 @@ def coarse_grain(ensemble: Ensemble, partition) -> Ensemble:
     """
     if not isinstance(partition, Partition):
         partition = Partition(tuple(partition))
-    probs, states = coarse_grain_batch(
+    probs, states, factors = coarse_grain_batch(
         ensemble.probabilities[None], ensemble.state_stack[None], [partition]
     )
-    return Ensemble.from_stack(probs[0], states[0])
+    return Ensemble.from_stack(probs[0], states[0], factors)

@@ -28,7 +28,6 @@ import numpy as np
 from .ensemble import (
     BLOCK_BYTES,
     Ensemble,
-    Partition,
     _factors_from_eigh,
     _live_pairs,
     _norms_of,
@@ -85,9 +84,10 @@ _BOOL_FAIL = 1.0
 _CHUNK = 250
 
 
-def _draw_ensemble(rng, dim: int, members: int, allow_zero_prob: bool = False):
-    """Random numbers for one Ginibre ensemble: raw weights, per-member Gaussians."""
-    random, integers, normal = rng.random, rng.integers, rng.standard_normal
+def _draw_ensemble(random, integers, normal, dim: int, members: int, allow_zero_prob=False):
+    """Random numbers for one Ginibre ensemble: raw weights, per-member
+    Gaussians, from a generator's bound ``random``, ``integers`` and
+    ``standard_normal``."""
     probs = random(members)
     if allow_zero_prob and members >= 3 and random() < 0.2:
         probs[int(integers(members))] = 0.0
@@ -103,8 +103,8 @@ def _build_ensembles(draws, dim: int, validate) -> tuple:
     each rank are generated in one batch.  The whole family is then
     validated in one call: ``validate_density_stack``, or
     ``_validate_factored`` where the eigenpairs serve later (the property
-    harness decomposes every member of E, and hands E's and O's factors to
-    the pair kernel).
+    harness builds E and O in one call, decomposes every member of E, and
+    hands E's and O's factors to the pair kernel).
     """
     probs = np.array([p for p, _ in draws])
     probs = probs / probs.sum(axis=1, keepdims=True)
@@ -122,20 +122,20 @@ def _build_ensembles(draws, dim: int, validate) -> tuple:
 
 def random_ensemble(dim: int, members: int, rng, allow_zero_prob: bool = False) -> Ensemble:
     """Random ensemble of Ginibre states (random ranks) with random weights."""
-    draws = [_draw_ensemble(rng, dim, members, allow_zero_prob)]
+    draws = [_draw_ensemble(rng.random, rng.integers, rng.standard_normal, dim, members,
+                            allow_zero_prob)]
     probs, states = _build_ensembles(draws, dim, validate_density_stack)
     return Ensemble.from_stack(probs[0], states[0])
 
 
-def _build_classical(draws) -> tuple:
-    """Pairwise commuting ensembles: random diagonals in one random basis each.
+def _build_classical(draws, u) -> tuple:
+    """Pairwise commuting ensembles: random diagonals in the Haar basis ``u[b]`` of each.
 
     Returns the probabilities, the validated states and the factors of the
     batch-flattened members, from the diagonals and the basis, their
     eigenpairs by construction: at d >= 8 they spare the kernel a member
     ``eigh`` per state.
     """
-    u = haar_unitaries(np.stack([g for g, _, _ in draws]))
     probs = np.array([p for _, p, _ in draws])
     probs = probs / probs.sum(axis=1, keepdims=True)
     check_weights(probs, "ensemble probabilities")
@@ -147,51 +147,35 @@ def _build_classical(draws) -> tuple:
     return probs, validate_density_stack(_hermitize(m)), factors
 
 
-def _random_partition(n: int, probs: np.ndarray, rng) -> Partition:
-    """Random partition into contiguous chunks of a shuffled index list.
-
-    Rejects draws that would give a block zero total probability (those are
-    not coarse-grainable); falls back to the single-block partition.
-    """
-    permutation, integers, choice = rng.permutation, rng.integers, rng.choice
-    p = probs.tolist()
-    for _ in range(20):
-        order = permutation(n).tolist()
-        nblocks = int(integers(1, n + 1))
-        cuts = []
-        if nblocks > 1:  # the draw of choice(np.arange(1, n), ...), as indices
-            cuts = sorted((choice(n - 1, size=nblocks - 1, replace=False) + 1).tolist())
-        bounds = [0, *cuts, n]
-        blocks = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
-        if all(sum(p[i] for i in blk) > 0.0 for blk in blocks):
-            return Partition(blocks)
-    return Partition.single_block(n)
-
-
-@dataclass
-class _TrialDraws:
-    """Every random number one trial consumes, in the order it draws them."""
-
-    ensemble: tuple
-    classical: tuple
-    unitary: np.ndarray
-    other: tuple
-    lam: np.ndarray
-    target: int
-    partition: Partition
-
-
-def _draw_trial(rng, dim: int, members: int) -> _TrialDraws:
-    random, normal = rng.random, rng.standard_normal
-    ensemble = _draw_ensemble(rng, dim, members, allow_zero_prob=True)
+def _draw_trial(rng, dim: int, members: int) -> tuple:
+    """Every random number one trial consumes, in the order it draws them,
+    with the generator's methods bound once: E, the classical ensemble, the
+    unitary, O, the union weights, the target and the coarse-graining blocks.
+    The blocks, plain tuples, are contiguous chunks of a shuffled index
+    list, drawn up to 20 times until no block has zero probability, else
+    the single block."""
+    random, integers, normal = rng.random, rng.integers, rng.standard_normal
+    permutation, choice = rng.permutation, rng.choice
+    ensemble = _draw_ensemble(random, integers, normal, dim, members, allow_zero_prob=True)
     classical = (normal((2, dim, dim)), random(members), random((members, dim)))
     unitary = normal((2, dim, dim))
-    other = _draw_ensemble(rng, dim, members)
+    other = _draw_ensemble(random, integers, normal, dim, members)
     lam = random(2)
-    target = int(rng.integers(members))
-    # Zero patterns of raw and normalized weights coincide.
-    partition = _random_partition(members, ensemble[0], rng)
-    return _TrialDraws(ensemble, classical, unitary, other, lam, target, partition)
+    target = int(integers(members))
+    p = ensemble[0].tolist()  # zero patterns of raw and normalized weights coincide
+    blocks = (tuple(range(members)),)
+    for _ in range(20):
+        order = permutation(members).tolist()
+        nblocks = int(integers(1, members + 1))
+        cuts = []
+        if nblocks > 1:  # the draw of choice(np.arange(1, members), ...), as indices
+            cuts = sorted((choice(members - 1, size=nblocks - 1, replace=False) + 1).tolist())
+        bounds = [0, *cuts, members]
+        drawn = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
+        if all(sum(p[i] for i in blk) > 0.0 for blk in drawn):
+            blocks = drawn
+            break
+    return ensemble, classical, unitary, other, lam, target, blocks
 
 
 def _trial_draws(dim: int, members: int, seed: int, trials) -> list:
@@ -215,17 +199,6 @@ def _validate_factored(stack) -> tuple:
     states, w, v = _validate_density_eigh(stack)
     d = states.shape[-1]
     return states, (w, v), _factors_from_eigh(w.reshape(-1, d), v.reshape(-1, d, d))
-
-
-def _joined(n: int, *factor_sets) -> tuple:
-    """Factors of batch-flattened ensembles joined member-wise in each of the
-    ``n`` ensembles, as ``union_batch`` joins their states."""
-    return tuple(
-        np.concatenate([a.reshape(n, -1, *a.shape[1:]) for a in arrays], axis=1).reshape(
-            -1, *arrays[0].shape[1:]
-        )
-        for arrays in zip(*factor_sets)
-    )
 
 
 def _variant_values(probs, states, factors, norms, target, parts, vectors, spec) -> np.ndarray:
@@ -271,38 +244,47 @@ def _run_trials(
     the required inequality is broken (positive means broken).
     """
     draws = _trial_draws(dim, members, seed, trials)
-    n = len(draws)
+    ensembles, classical, unitary, others, lam, target, blocks = zip(*draws)
+    n = len(blocks)
     rows = np.arange(n)
 
-    # E's and O's eigenpairs come from their validation.  They serve E's
-    # decomposition, and as factors they spare the kernel its member eigh
-    # and send every pair with a rank-1 member down its rank-1 route.
-    probs, (states, eig, factors) = _build_ensembles(
-        [d.ensemble for d in draws], dim, _validate_factored
+    # E and O in one stack, E's trials first, validated together.  Their
+    # eigenpairs serve E's decomposition, and as factors they spare the
+    # kernel its member eigh and send every pair with a rank-1 member down
+    # its rank-1 route.
+    both, (both_states, (w, v), both_factors) = _build_ensembles(
+        [*ensembles, *others], dim, _validate_factored
     )
+    probs, o_probs, states, o_states = both[:n], both[n:], both_states[:n], both_states[n:]
+    factors = tuple(f[: n * members] for f in both_factors)
     classical_e = is_classical_batch(probs, states, slack)
 
+    # Each trial's classical basis and conjugating unitary, from one batch.
+    u = haar_unitaries(np.stack([g for g, _, _ in classical] + list(unitary)))
+
     # Positivity, and zero exactly on classical ensembles.
-    cl_probs, cl_states, cl_factors = _build_classical([d.classical for d in draws])
+    cl_probs, cl_states, cl_factors = _build_classical(classical, u[:n])
     m_cl = quantumness_batch(cl_probs, cl_states, spec, cl_factors)
     classical_cl = is_classical_batch(cl_probs, cl_states, slack)
 
-    u = haar_unitaries(np.stack([d.unitary for d in draws]))
     # U v and the same shifted eigenvalues are eigenpairs of U rho U^+.
     ranks, shifted, vecs = factors
-    u_vecs = (u[:, None] @ vecs.reshape(n, members, *vecs.shape[1:])).reshape(vecs.shape)
-    m_conj = quantumness_batch(probs, conjugate_batch(states, u), spec, (ranks, shifted, u_vecs))
+    u_vecs = (u[n:, None] @ vecs.reshape(n, members, *vecs.shape[1:])).reshape(vecs.shape)
+    conjugated = conjugate_batch(states, u[n:])
+    m_conj = quantumness_batch(probs, conjugated, spec, (ranks, shifted, u_vecs))
 
     # E, O and their union from one table: the union's live pairs are among
     # those live under E's and O's own probabilities.
-    o_probs, (o_states, _, o_factors) = _build_ensembles(
-        [d.other for d in draws], dim, _validate_factored
-    )
-    lam = np.array([d.lam for d in draws])
+    lam = np.array(lam)
     lam = lam / lam.sum(axis=1, keepdims=True)
     u_probs, u_states = union_batch([probs, o_probs], [states, o_states], lam)
     live = _live_pairs(np.concatenate([probs, o_probs], axis=1))
-    norms = _pair_norms(live, u_states, spec, _joined(n, factors, o_factors))
+    # The union's members are E's then O's in each trial: interleave the factors.
+    u_factors = tuple(
+        f.reshape(2, n, members, *f.shape[1:]).swapaxes(0, 1).reshape(f.shape)
+        for f in both_factors
+    )
+    norms = _pair_norms(live, u_states, spec, u_factors)
     e_norms = norms[:, :members, :members]
     m_e = _weighted_sums(probs, e_norms, _live_pairs(probs))
     m_o = _weighted_sums(o_probs, norms[:, members:, members:], _live_pairs(o_probs))
@@ -311,9 +293,9 @@ def _run_trials(
     # Every member's spectral decomposition serves both the decomposition
     # of the target member and the fine-graining, whose members are the
     # rank-1 projectors onto its eigenvectors.
-    weights, proj, vectors = _eigenprojectors(states, eig)
+    weights, proj, vectors = _eigenprojectors(states, (w[:n], v[:n]))
     check_decompositions(weights, proj, states, range(members))
-    target = np.array([d.target for d in draws])
+    target = np.array(target)
     m_var = _variant_values(
         probs, states, factors, e_norms, target, proj[rows, target], vectors[rows, target], spec
     )
@@ -326,13 +308,9 @@ def _run_trials(
         _rank_one_factors(vectors.reshape(-1, dim)),
     )
 
-    # Ensembles are batched by block count, which varies between trials.
-    m_coarse = np.empty(n)
-    nblocks = np.array([len(d.partition.blocks) for d in draws])
-    for nb in np.unique(nblocks):
-        sel = np.flatnonzero(nblocks == nb)
-        coarse = coarse_grain_batch(probs[sel], states[sel], [draws[t].partition for t in sel])
-        m_coarse[sel] = quantumness_batch(*coarse, spec)
+    # Every trial's coarse-graining in one batch, whatever its block count.
+    c_probs, c_states, c_factors = coarse_grain_batch(probs, states, blocks)
+    m_coarse = quantumness_batch(c_probs, c_states, spec, c_factors)
 
     # Violations are assembled in plain floats, in the order of operations
     # of the scalar definitions, so every number is reproducible.

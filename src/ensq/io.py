@@ -28,7 +28,7 @@ Bloch-ball check, are validated from one ``eigh`` each
 (``states._validate_density_eigh``), whose eigenpairs become their
 low-rank factors.  So every loaded ``Ensemble`` carries factors, and
 ``quantumness`` of it runs no member eigensolve of its own, only the
-commutator ``eigvalsh`` of its dense-route and low-rank pairs.
+commutator ``eigvalsh`` of its low-rank and (but for Frobenius) dense pairs.
 """
 
 from __future__ import annotations

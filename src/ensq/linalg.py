@@ -26,7 +26,6 @@ __all__ = [
     "antihermitian_singular_values",
     "as_matrix",
     "commutator",
-    "gram_singular_values",
     "hermitian_eigenvalues",
     "norm",
     "norm_from_singular_values",
@@ -113,21 +112,14 @@ def antihermitian_singular_values(c: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(w), axis=-1)[..., ::-1]
 
 
-def gram_singular_values(a) -> np.ndarray:
-    """Singular values via the eigenvalues of A^dagger A, sorted nonincreasing.
-
-    Round-off negatives are clamped to zero before the square root.  The
-    squaring loses singular values below about ``sqrt(eps) * s_max``:
-    ``[[1, 1e8], [0, 1]]`` gives ``[1e8, 0]``, not ``[1e8, 1e-8]``.
-    """
-    m = _finite_matrix(a)
-    g = m.conj().T @ m
-    g = (g + g.conj().T) / 2.0
-    try:
-        w = np.linalg.eigvalsh(g)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    return np.sqrt(np.clip(w, 0.0, None))[::-1].copy()
+def _antihermitian_norms(c: np.ndarray, spec: "NormSpec") -> np.ndarray:
+    """Norms ``(n,)`` of a stack ``(n, d, d)`` of anti-Hermitian matrices:
+    Frobenius from the entries, sqrt(sum |c_kl|^2), with no eigensolve (as
+    :func:`norm` takes it), every other norm from the singular values."""
+    if spec.kind == "schatten" and spec.p == 2.0:
+        x = np.ascontiguousarray(c).reshape(len(c), -1).view(float)
+        return np.sqrt(np.einsum("ni,ni->n", x, x))
+    return norm_from_singular_values(antihermitian_singular_values(c), spec)
 
 
 def singular_values(a) -> np.ndarray:
@@ -137,9 +129,8 @@ def singular_values(a) -> np.ndarray:
     matrices) is detected and goes through
     :func:`antihermitian_singular_values`; everything else goes through
     ``numpy.linalg.svd``, accurate to a few ulps of the largest singular
-    value (:func:`gram_singular_values` is not).  NaN and infinite entries
-    are rejected with ``ParamOutOfRange``, here and in
-    :func:`hermitian_eigenvalues`, :func:`gram_singular_values` and :func:`norm`.
+    value.  NaN and infinite entries are rejected with ``ParamOutOfRange``,
+    here and in :func:`hermitian_eigenvalues` and :func:`norm`.
     """
     m = _finite_matrix(a)
     scale = float(np.abs(m).max())
@@ -283,5 +274,8 @@ def norm_from_singular_values(s: np.ndarray, spec: NormSpec):
 
 
 def norm(a, spec: NormSpec) -> float:
-    """Norm of a square matrix under the given Schatten / Ky Fan selector."""
+    """Norm of a square matrix under the given Schatten / Ky Fan selector; the
+    Frobenius norm is read from the entries, as the pair kernel reads it."""
+    if spec.kind == "schatten" and spec.p == 2.0:
+        return float(_antihermitian_norms(_finite_matrix(a)[None], spec)[0])
     return float(norm_from_singular_values(singular_values(a), spec))

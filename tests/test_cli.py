@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -16,11 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ensq import cli, io
+from ensq import cli, io, linalg
 from ensq.cli import build_parser, main
 from ensq.ensemble import Ensemble, _live_pairs, _pair_norms, quantumness, quantumness_batch
 from ensq.errors import EnsembleFileError, EnsqError, ParamOutOfRange
-from ensq.harness import check_properties
+from ensq.harness import PROPERTY_NAMES, check_properties, run_single_trial
 from ensq.linalg import InvalidNormSpec, NormSpec, norm
 from ensq.measures import pure_pair_quantumness
 from ensq.states import (
@@ -1220,6 +1221,33 @@ def test_cli_exit_codes_without_a_traceback_or_warning(tmp_path, capsys, case):
         assert err.startswith(("error: ", "usage: ")), err
     if case.endswith("negative-seed"):
         assert err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_check_properties_exits_1_on_a_genuine_violation(monkeypatch, capsys):
+    # Correct code reaches no violation, so the dense route is put off by a
+    # factor of 1 + 1e-6.  At d = 2 every other pair takes the rank-1 route,
+    # so only the coarse-grained ensembles (no factors below d = 8) see it.
+    dense = linalg._antihermitian_norms
+    monkeypatch.setattr(
+        linalg, "_antihermitian_norms", lambda c, spec: dense(c, spec) * (1.0 + 1e-6)
+    )
+    argv = ["check-properties", "--dim", "2", "--members", "3", "--trials", "30", "--seed", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.out + captured.err
+    report = check_properties(2, 3, 30, 1, NormSpec.trace())
+    assert captured.out == report.render() + "\n"
+    lines = [line for line in captured.out.splitlines() if line.startswith("FAIL ")]
+    assert lines
+    for line in lines:
+        match = re.match(r"FAIL (\S+) trial (\d+) violation (\S+) \(replay: (.*)\)$", line)
+        name, trial, printed, call = match.groups()
+        replayed = eval(call, {"run_single_trial": run_single_trial, "NormSpec": NormSpec})[name]
+        recorded = report.violations[int(trial), PROPERTY_NAMES.index(name)]
+        assert replayed.hex() == float(recorded).hex()
+        assert replayed > 1e-9 and f"{replayed:.3e}" == printed
 
 
 def test_cli_check_properties_passes_and_reports(capsys):

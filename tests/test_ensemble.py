@@ -14,6 +14,7 @@ from ensq.ensemble import (
     _pair_singular_values,
     check_weights,
     coarse_grain,
+    coarse_grain_batch,
     conjugate_batch,
     decompose_member,
     fine_grain,
@@ -410,6 +411,39 @@ def test_coarse_grain_block_probabilities_and_barycenter():
     assert merged.members[0][0] == pytest.approx(0.5)
     want = (0.2 * np.diag([1.0, 0.0]) + 0.3 * np.diag([0.0, 1.0])) / 0.5
     assert np.abs(merged.members[0][1].matrix - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [3, 9])
+def test_coarse_grain_batch_of_mixed_block_counts_is_one_coarse_grain_per_partition(dim):
+    # One batch pads every row to the largest block count with
+    # zero-probability members; each row's real blocks, their M and (from
+    # d = 8 on) their factors must be those of coarse_grain alone, bit for bit.
+    rng = np.random.default_rng(55)
+    members = 4
+    ensembles = [random_ensemble(dim, members, rng) for _ in range(6)]
+    partitions = [
+        Partition.singletons(members), ((2, 0), (1,), (3,)), Partition.single_block(members),
+        ((3,), (0, 1, 2)), Partition(((1, 3), (0, 2))), ((0,), (1,), (2, 3)),
+    ]
+    probs, states, factors = coarse_grain_batch(
+        np.stack([e.probabilities for e in ensembles]),
+        np.stack([e.state_stack for e in ensembles]),
+        partitions,
+    )
+    assert probs.shape == (6, members) and (factors is None) == (dim < 8)
+    values = [quantumness_batch(probs, states, spec, factors) for spec in SPECS]
+    for b, (e, partition) in enumerate(zip(ensembles, partitions)):
+        alone = coarse_grain(e, partition)
+        k = len(alone)
+        assert probs[b, :k].tobytes() == alone.probabilities.tobytes()
+        assert not probs[b, k:].any()
+        assert states[b, :k].tobytes() == alone.state_stack.tobytes()
+        assert [v[b].hex() for v in values] == [quantumness(alone, s).hex() for s in SPECS]
+        assert (alone.factors is None) == (factors is None)
+        for got, want in zip(factors or (), alone.factors or ()):
+            got = got.reshape(6, members, *got.shape[1:])
+            assert got[b, :k].tobytes() == want.tobytes()
+            assert not got[b, k:].any()
 
 
 def test_single_block_coarse_grain_gives_barycenter_with_zero_quantumness():

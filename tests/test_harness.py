@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ensq import ensemble, harness
+from ensq import harness
 from ensq.ensemble import (
     Ensemble,
     _live_pairs,
@@ -30,7 +30,6 @@ from ensq.harness import (
     _build_ensembles,
     _classicality_fails,
     _draw_ensemble,
-    _joined,
     _trial_draws,
     _validate_factored,
     _variant_values,
@@ -147,12 +146,13 @@ def _union_and_variant_case(dim, n=12, members=3):
     weights with a zero, and each target's eigenprojectors and their unit
     vectors as its parts."""
     rng = np.random.default_rng([31, dim])
+    draw = (rng.random, rng.integers, rng.standard_normal)
     probs, (states, eig, factors) = _build_ensembles(
-        [_draw_ensemble(rng, dim, members, allow_zero_prob=True) for _ in range(n)], dim,
+        [_draw_ensemble(*draw, dim, members, allow_zero_prob=True) for _ in range(n)], dim,
         _validate_factored,
     )
     o_probs, (o_states, _, o_factors) = _build_ensembles(
-        [_draw_ensemble(rng, dim, members) for _ in range(n)], dim, _validate_factored
+        [_draw_ensemble(*draw, dim, members) for _ in range(n)], dim, _validate_factored
     )
     for row, dead in ((0, 0), (1, members - 1), (2, 1)):
         probs[row, dead] = 0.0
@@ -180,7 +180,12 @@ def test_spliced_union_and_variant_values_equal_the_plain_kernel_bit_for_bit(dim
     (probs, states, factors), (o_probs, o_states, o_factors) = e, o
     n, members = probs.shape
     u_probs, u_states = union_batch([probs, o_probs], [states, o_states], lam)
-    u_factors = _joined(n, factors, o_factors)
+    u_factors = tuple(  # E's then O's members in each ensemble, as union_batch joins them
+        np.concatenate([e.reshape(n, members, -1), o.reshape(n, members, -1)], axis=1).reshape(
+            e.shape[0] * 2, *e.shape[1:]
+        )
+        for e, o in zip(factors, o_factors)
+    )
     live = _live_pairs(np.concatenate([probs, o_probs], axis=1))
     norms = _pair_norms(live, u_states, spec, u_factors)
     e_norms = norms[:, :members, :members]
@@ -240,20 +245,26 @@ def test_property_suite_holds_at_d_16(spec):
     assert report.worst_slack() <= 1e-9
 
 
-def test_only_coarse_grained_members_are_eigendecomposed_by_the_kernel(monkeypatch):
-    # Every other stack of a trial reaches the kernel with factors: E, O and
-    # their union, the conjugated E, the variants, the fine-grained and the
-    # classical ensembles.  At d = 16 the kernel's own member eigh then runs
-    # once per batch of coarse-grained ensembles with more than one block.
-    calls = []
-    decompose = ensemble._low_rank_factors
-    monkeypatch.setattr(
-        ensemble, "_low_rank_factors", lambda s, live: calls.append(len(s)) or decompose(s, live)
-    )
+def test_property_trials_eigendecompose_each_member_once_and_the_kernel_none(monkeypatch):
+    # Every stack of a trial reaches the kernel with factors (the coarse-
+    # grained one from its validation eigh), so the kernel's own member eigh
+    # never runs.  Under the Frobenius norm the dense route runs no
+    # eigensolve either, so every d x d eigensolve is one validation: eigh
+    # for E, O and the barycenters, eigvalsh for the classical and the
+    # conjugated ensembles.  The barycenters take no eigvalsh.
     dim, members, trials = 16, 4, 20
-    assert check_properties(dim, members, trials, 1, NormSpec.trace()).all_passed()
-    blocks = [len(d.partition.blocks) for d in _trial_draws(dim, members, 1, range(trials))]
-    assert sorted(calls) == sorted(nb * blocks.count(nb) for nb in set(blocks) if nb > 1)
+    rows = {"eigh": 0, "eigvalsh": 0}
+    for name in rows:
+
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            if np.shape(a)[-1] == dim:
+                rows[_name] += math.prod(np.shape(a)[:-2])
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert check_properties(dim, members, trials, 1, NormSpec.frobenius()).all_passed()
+    blocks = sum(len(draw[-1]) for draw in _trial_draws(dim, members, 1, range(trials)))
+    assert rows == {"eigh": 2 * trials * members + blocks, "eigvalsh": 2 * trials * members}
 
 
 def _ensemble_bytes(draw):
@@ -266,15 +277,16 @@ def _ensemble_bytes(draw):
 def test_trial_draws_match_the_reference_stream_field_by_field(dim, members):
     trials = range(300)
     for t, got in zip(trials, _trial_draws(dim, members, 23, trials)):
-        ensemble, classical, unitary, other, lam, target, blocks = draw_trial(23, t, dim, members)
-        assert _ensemble_bytes(got.ensemble) == _ensemble_bytes(ensemble), t
-        assert [a.tobytes() for a in got.classical] == [a.tobytes() for a in classical], t
-        assert got.unitary.tobytes() == unitary.tobytes(), t
-        assert _ensemble_bytes(got.other) == _ensemble_bytes(other), t
-        assert got.lam.tobytes() == lam.tobytes(), t
-        assert type(got.target) is int and got.target == target, t
-        assert got.partition.blocks == blocks, t
-        assert all(type(i) is int for blk in got.partition.blocks for i in blk), t
+        ensemble, classical, unitary, other, lam, target, blocks = got
+        want = draw_trial(23, t, dim, members)
+        assert _ensemble_bytes(ensemble) == _ensemble_bytes(want[0]), t
+        assert [a.tobytes() for a in classical] == [a.tobytes() for a in want[1]], t
+        assert unitary.tobytes() == want[2].tobytes(), t
+        assert _ensemble_bytes(other) == _ensemble_bytes(want[3]), t
+        assert lam.tobytes() == want[4].tobytes(), t
+        assert type(target) is int and target == want[5], t
+        assert blocks == want[6], t
+        assert all(type(i) is int for blk in blocks for i in blk), t
 
 
 def reference_result(name, column, slack):

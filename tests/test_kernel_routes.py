@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from ensq import ensemble, linalg
 from ensq.ensemble import (
     Ensemble,
+    _commutators,
     _factors_from_eigh,
     _low_rank_factors,
     _pair_singular_values,
@@ -177,16 +178,46 @@ def test_kyfan_order_beyond_rank_and_beyond_dimension():
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 16])
-def test_kernel_pair_norm_equals_linalg_norm_bit_for_bit(dim):
+@pytest.mark.parametrize("spec", [NormSpec.schatten(2.5), NormSpec.frobenius()], ids=NormSpec.label)
+def test_kernel_pair_norm_equals_linalg_norm_bit_for_bit(dim, spec):
     # Weights 1/2, 1/2 give the pair weight 2 sqrt(1/4) = 1 exactly; the
-    # full-rank members keep the d = 16 pair on the dense route.
+    # full-rank members keep the d = 16 pair on the dense route, which builds
+    # [A, B] as X - X^+ with X = A B.
     rng = np.random.default_rng(86)
-    spec = NormSpec.schatten(2.5)
     for _ in range(20):
         a, b = low_rank_state(dim, dim, rng), low_rank_state(dim, dim, rng)
         e = Ensemble(((0.5, a), (0.5, b)))
-        x, y = e.state_stack
-        assert quantumness(e, spec) == linalg.norm(x @ y - y @ x, spec)
+        x = e.state_stack[0] @ e.state_stack[1]
+        assert quantumness(e, spec) == linalg.norm(x - x.conj().T, spec)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 9, 16])
+def test_dense_commutators_are_exactly_antihermitian(dim):
+    # C = X - X^+ from one product X = A B: C + C^+ is zero bit for bit, and
+    # C is [A, B] to round-off.
+    rng = np.random.default_rng(88)
+    ranks = rng.integers(1, dim + 1, size=12)
+    stack = validate_density_stack([low_rank_state(dim, int(r), rng) for r in ranks])
+    i, j = np.triu_indices(len(stack), 1)
+    ((_, c),) = _commutators(stack, i, j)
+    assert c.shape == (len(i), dim, dim)
+    assert not (c + np.swapaxes(c.conj(), -1, -2)).any()
+    a, b = stack[i], stack[j]
+    assert np.abs(c - (a @ b - b @ a)).max() <= 4 * dim * np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([2, 3, 4, 8, 16]), seed=st.integers(0, 2**32 - 1))
+def test_entrywise_frobenius_agrees_with_the_singular_values(dim, seed):
+    # The dense route's Frobenius norm, read from the entries with no
+    # eigensolve, against sqrt(sum s^2) of the eigenvalue route.
+    rng = np.random.default_rng(seed)
+    stack = validate_density_stack([low_rank_state(dim, dim, rng) for _ in range(2)])
+    ((_, c),) = _commutators(stack, np.array([0]), np.array([1]))
+    entries = linalg._antihermitian_norms(c, NormSpec.frobenius())[0]
+    s = linalg.antihermitian_singular_values(c)[0]
+    assert entries == pytest.approx(math.sqrt(math.fsum(s * s)), rel=16 * np.finfo(float).eps)
+    assert linalg.norm(c[0], NormSpec.frobenius()) == entries
 
 
 def test_pair_blocks_leave_values_unchanged(monkeypatch):

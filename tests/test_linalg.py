@@ -76,7 +76,6 @@ def test_hermitian_eig_rejects_non_hermitian():
 MATRIX_FUNCTIONS = {
     "hermitian_eigenvalues": linalg.hermitian_eigenvalues,
     "singular_values": linalg.singular_values,
-    "gram_singular_values": linalg.gram_singular_values,
     "norm": lambda m: linalg.norm(m, NormSpec.trace()),
 }
 
@@ -109,24 +108,23 @@ def test_singular_values_known_cases():
     assert np.allclose(linalg.singular_values([[0.0, 1.0], [0.0, 0.0]]), [1.0, 0.0])
 
 
-def test_singular_values_match_svd_and_gram_route():
+def test_singular_values_match_svd():
     rng = np.random.default_rng(9)
     for dim in (2, 3, 5):
         for _ in range(25):
             a = random_complex(dim, rng)
             ref = np.linalg.svd(a, compute_uv=False)
             assert np.abs(linalg.singular_values(a) - ref).max() <= 1e-10
-            assert np.abs(linalg.gram_singular_values(a) - ref).max() <= 1e-10
 
 
-def test_antihermitian_fast_path_agrees_with_gram():
+def test_antihermitian_fast_path_agrees_with_svd():
     rng = np.random.default_rng(10)
     for _ in range(50):
         a = random_hermitian(4, rng)
         b = random_hermitian(4, rng)
         c = a @ b - b @ a
         fast = linalg.singular_values(c)
-        general = linalg.gram_singular_values(c)
+        general = np.linalg.svd(c, compute_uv=False)
         assert np.abs(fast - general).max() <= 1e-10
 
 
