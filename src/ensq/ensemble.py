@@ -36,6 +36,7 @@ from .states import _validate_density_eigh
 
 __all__ = [
     "Ensemble",
+    "Factors",
     "Partition",
     "check_decompositions",
     "check_weights",
@@ -117,29 +118,25 @@ class Ensemble:
     """An ordered collection of (probability, density matrix) members.
 
     Stored as two read-only arrays, ``probabilities`` ``(m,)`` and
-    ``state_stack`` ``(m, d, d)``, and read-only ``factors`` or None;
+    ``state_stack`` ``(m, d, d)``, and the members' ``Factors`` or None;
     ``members``, ``states`` and iteration are derived from the arrays.
     Probabilities must be nonnegative and sum to one within ``TOL``;
     members with zero probability are kept (they contribute nothing to the
     quantumness) and duplicates are not merged.  Raw arrays are accepted in
     place of ``DensityMatrix`` and validated together in one batch.
 
-    ``factors`` (``_factors_from_eigh``: ranks, shifted eigenvalues,
-    vectors) are handed over by a source that already has them, from an
+    ``factors`` are handed over by a source that already has them, from an
     eigendecomposition or from a pure member's amplitudes, so that
     ``quantumness`` runs no member ``eigh`` of its own, and every pair
     with a rank-1 member takes the kernel's rank-1 route, at every d.
     ``io.load_ensemble`` supplies them on every ``Ensemble`` it returns,
     and ``coarse_grain`` from d = 8 on (``coarse_grain_batch``).  Every
-    other constructor and transform leaves them None.  (The property
-    harness hands the kernel factors of its own stacks, from their
-    validation ``eigh``, their construction or their eigenvectors, without
-    building an ``Ensemble``.)
+    other constructor and transform leaves them None.
     """
 
     probabilities: np.ndarray
     state_stack: np.ndarray = field(repr=False)
-    factors: tuple | None = field(default=None, repr=False)
+    factors: Factors | None = field(default=None, repr=False)
 
     def __init__(self, members) -> None:
         self.__post_init__(*_member_stack(members))
@@ -153,8 +150,8 @@ class Ensemble:
             raise DimensionMismatch(
                 f"{probs.shape[0]} probabilities for a state stack of shape {states.shape}"
             )
-        for arr in (probs, states, *(factors or ())):
-            arr.setflags(write=False)
+        probs.setflags(write=False)
+        states.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "state_stack", states)
         object.__setattr__(self, "factors", factors)
@@ -164,9 +161,8 @@ class Ensemble:
         """Ensemble over ``states`` ``(m, d, d)`` already validated, by
         ``validate_density_stack`` or a stack form that runs its checks;
         only the probabilities are checked.  ``factors``, if given, must be
-        ``_factors_from_eigh`` of the eigenpairs of ``states``, or, for
-        rank-1 projectors, ``_rank_one_factors`` of their unit vectors,
-        member by member."""
+        ``Factors.from_eigh`` of the eigenpairs of ``states``, or, for
+        rank-1 projectors, ``Factors.from_vectors`` of their unit vectors."""
         ensemble = object.__new__(cls)
         ensemble.__post_init__(probabilities, np.array(states, dtype=complex), factors)
         return ensemble
@@ -203,73 +199,102 @@ class Ensemble:
 # matrix or one row.
 
 
-def _low_rank_factors(states: np.ndarray, live: np.ndarray, eig=None):
-    """``_factors_from_eigh`` of each live member, from ``eig``, the eigenpairs
-    of ``states[live]``, or one ``eigh`` each; None when d < 8.  Members
-    where ``live`` is False are left at rank 0 and zero factors."""
-    n, d = states.shape[0], states.shape[-1]
-    if d < LOW_RANK_MIN_DIM:
+@dataclass(frozen=True, eq=False)
+class Factors:
+    """N members mu I + sum_k lambda_k v_k v_k^+ as read-only arrays: ``ranks``
+    ``(N,)``, r; ``shifted`` ``(N, c)``, the lambda; ``vecs`` ``(N, c, d)``, the
+    unit v as rows.  c = max(1, d // 4), the most the low-rank route uses and
+    one for the rank-1 route; a member uses its first r columns, and rank 0
+    is a multiple of the identity.  Callers build and map them by the methods."""
+
+    ranks: np.ndarray
+    shifted: np.ndarray
+    vecs: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in self._arrays():
+            arr.setflags(write=False)
+
+    def _arrays(self) -> tuple:
+        return self.ranks, self.shifted, self.vecs
+
+    @classmethod
+    def from_eigh(cls, w: np.ndarray, v: np.ndarray) -> "Factors":
+        """One row per member with eigenpairs ``w`` ``(..., d)``, ``v`` ``(..., d, d)``:
+        mu is its most repeated eigenvalue, where eigenvalues within
+        ``linalg.roundoff_tol`` of each other count as equal, and r the
+        number of eigenvalues outside that cluster, whose pairs come first."""
+        d = w.shape[-1]
+        w, v = w.reshape(-1, d), v.reshape(-1, d, d)
+        tol = linalg.roundoff_tol(w)[:, None]
+        near = np.abs(w[:, :, None] - w[:, None, :]) <= tol[:, :, None]
+        mu = np.take_along_axis(w, near.sum(axis=-1).argmax(axis=-1)[:, None], axis=-1)
+        outside = np.abs(w - mu) > tol
+        order = np.argsort(~outside, axis=-1, kind="stable")[:, : max(1, d // 4)]
+        return cls(
+            outside.sum(axis=-1),
+            np.take_along_axis(w - mu, order, axis=-1),
+            np.take_along_axis(v.swapaxes(-1, -2), order[:, :, None], axis=-2),
+        )
+
+    @classmethod
+    def from_vectors(cls, vectors: np.ndarray) -> "Factors":
+        """The projectors onto unit ``vectors`` ``(..., d)``: rank 1, lambda 1."""
+        n, d = math.prod(vectors.shape[:-1]), vectors.shape[-1]
+        vecs = np.zeros((n, max(1, d // 4), d), dtype=complex)
+        vecs[:, 0] = vectors.reshape(n, d)
+        return cls(np.ones(n, dtype=int), np.ones(vecs.shape[:2]), vecs)
+
+    @classmethod
+    def join(cls, parts: list) -> "Factors":
+        """The members of ``parts`` one after the other."""
+        return cls(*map(np.concatenate, zip(*(f._arrays() for f in parts))))
+
+    @classmethod
+    def placed(cls, n: int, parts: list) -> "Factors":
+        """n members: each of ``parts``, (rows, factors), at its rows, rank 0 elsewhere."""
+        out = [np.zeros((n, *a.shape[1:]), a.dtype) for a in parts[0][1]._arrays()]
+        for rows, f in parts:
+            for dst, src in zip(out, f._arrays()):
+                dst[rows] = src
+        return cls(*out)
+
+    def take(self, rows) -> "Factors":
+        """The members at ``rows``, any numpy index of the member axis."""
+        return Factors(*(a[rows] for a in self._arrays()))
+
+    def conjugated(self, u: np.ndarray) -> "Factors":
+        """U_n rho_n U_n^+ for ``u`` ``(N, d, d)``: the same lambda, and U_n v."""
+        columns = np.ascontiguousarray(self.vecs.swapaxes(-1, -2))
+        vecs = np.ascontiguousarray((u @ columns).swapaxes(-1, -2))
+        return Factors(self.ranks, self.shifted, vecs)
+
+
+def _low_rank_factors(states: np.ndarray, live: np.ndarray):
+    """``Factors.from_eigh`` of one ``eigh`` of each live member, and rank 0
+    where ``live`` is False; None when d < 8."""
+    if states.shape[-1] < LOW_RANK_MIN_DIM:
         return None
     try:
-        w, v = np.linalg.eigh(states[live]) if eig is None else eig
+        w, v = np.linalg.eigh(states[live])
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    ranks = np.zeros(n, dtype=int)
-    shifted = np.zeros((n, _factor_columns(d)))
-    vecs = np.zeros((n, d, _factor_columns(d)), dtype=complex)
-    ranks[live], shifted[live], vecs[live] = _factors_from_eigh(w, v)
-    return ranks, shifted, vecs
+    return Factors.placed(len(states), [(live, Factors.from_eigh(w, v))])
 
 
-def _factor_columns(d: int) -> int:
-    """Columns of a member's factors: d // 4, the most the low-rank route
-    uses, and at least one, for the rank-1 route."""
-    return max(1, d // 4)
-
-
-def _rank_one_factors(vectors: np.ndarray):
-    """Factors of the projectors onto unit ``vectors`` ``(N, d)``: rank 1, lambda 1."""
-    n, d = vectors.shape
-    vecs = np.zeros((n, d, _factor_columns(d)), dtype=complex)
-    vecs[:, :, 0] = vectors
-    return np.ones(n, dtype=int), np.ones((n, _factor_columns(d))), vecs
-
-
-def _factors_from_eigh(w: np.ndarray, v: np.ndarray):
-    """Low-rank factors of members with eigenpairs ``w`` ``(N, d)``, ``v`` ``(N, d, d)``.
-
-    Each member is shifted by mu, its most repeated eigenvalue, where
-    eigenvalues within ``linalg.roundoff_tol`` of each other count as
-    equal.  Its rank r is the number of eigenvalues outside that cluster.
-    Returns the ranks ``(N,)`` and, outside-cluster pairs first, the
-    shifted eigenvalues ``(N, c)`` and eigenvectors ``(N, d, c)``, with
-    ``c = _factor_columns(d)``; only a member's first r columns are used.
-    """
-    d = w.shape[-1]
-    tol = linalg.roundoff_tol(w)[:, None]
-    near = np.abs(w[:, :, None] - w[:, None, :]) <= tol[:, :, None]
-    mu = np.take_along_axis(w, near.sum(axis=-1).argmax(axis=-1)[:, None], axis=-1)
-    outside = np.abs(w - mu) > tol
-    order = np.argsort(~outside, axis=-1, kind="stable")[:, : _factor_columns(d)]
-    return (
-        outside.sum(axis=-1),
-        np.take_along_axis(w - mu, order, axis=-1),
-        np.take_along_axis(v, order[:, None, :], axis=-1),
-    )
-
-
-def _low_rank_singular_values(lam_a, vec_a, lam_b, vec_b) -> np.ndarray:
-    """Nonincreasing singular values ``(n, k)`` of [A, B], A = V_a L_a V_a^+.
+def _low_rank_singular_values(factors, a, b, r_a: int, r_b: int) -> np.ndarray:
+    """Nonincreasing singular values ``(n, k)`` of [A, B] for the members ``a``
+    and ``b`` of ranks r_a and r_b, with A = V_a L_a V_a^+ from ``factors``.
 
     With the thin QR [V_a V_b] = Q R, both operators are Q (R L R^+) Q^+,
     so the commutator's nonzero singular values are those of a k x k one,
     k = r_a + r_b.  R comes from Householder QR of the eigenvectors, not
     from their overlaps, so near-parallel pairs keep full accuracy.
     """
-    r_a = lam_a.shape[-1]
-    r = np.linalg.qr(np.concatenate([vec_a, vec_b], axis=-1), mode="r")
-    x = (r[..., :r_a] * lam_a[:, None, :]) @ _adjoint(r[..., :r_a])
-    y = (r[..., r_a:] * lam_b[:, None, :]) @ _adjoint(r[..., r_a:])
+    v = np.concatenate([factors.vecs[a, :r_a], factors.vecs[b, :r_b]], axis=-2)
+    r = np.linalg.qr(v.swapaxes(-1, -2), mode="r")
+    x = (r[..., :r_a] * factors.shifted[a, None, :r_a]) @ _adjoint(r[..., :r_a])
+    y = (r[..., r_a:] * factors.shifted[b, None, :r_b]) @ _adjoint(r[..., r_a:])
     return linalg.antihermitian_singular_values(x @ y - y @ x)
 
 
@@ -286,12 +311,12 @@ def _rank_one_values(states: np.ndarray, i, j, factors) -> np.ndarray:
     runs, and the projection is a difference of vectors, not of 1 and
     |u^+ v|^2, so near-parallel pairs keep the accuracy of the vectors.
     """
-    ranks, lam, vecs = factors
+    ranks, lam = factors.ranks, factors.shifted
     swap = ranks[j] != 1
     q, p = np.where(swap, i, j), np.where(swap, j, i)
-    v = vecs[q, :, 0]
+    v = factors.vecs[q, 0]
     pure = ranks[p] == 1
-    z = vecs[p, :, 0]
+    z = factors.vecs[p, 0]
     mixed = np.flatnonzero(~pure)
     z[mixed] = (states[p[mixed]] @ v[mixed, :, None])[..., 0]
     c = np.einsum("ni,ni->n", v.conj(), z)
@@ -306,8 +331,8 @@ def _pair_singular_values(states: np.ndarray, i, j, factors, spec=None) -> np.nd
     given a norm ``spec``, the pairs' norms ``(n,)`` instead.
 
     ``i`` and ``j`` index the stack ``states`` ``(N, d, d)``, and
-    ``factors`` holds its members' low-rank factors (``_factors_from_eigh``),
-    or is None when there are none (every pair dense).  Each pair's route
+    ``factors`` holds its members' ``Factors``, or is None when there are
+    none (every pair dense).  Each pair's route
     depends on that pair's ranks alone:
 
     * a pair with a rank-0 member is zero (a multiple of the identity
@@ -326,8 +351,7 @@ def _pair_singular_values(states: np.ndarray, i, j, factors, spec=None) -> np.nd
     out = np.zeros((len(i), d))
     dense = np.arange(len(i))
     if factors is not None:
-        ranks, lam, vecs = factors
-        r_i, r_j = ranks[i], ranks[j]
+        r_i, r_j = factors.ranks[i], factors.ranks[j]
         live = (r_i > 0) & (r_j > 0)
         one = np.flatnonzero(live & ((r_i == 1) | (r_j == 1)))
         out[one, :2] = _rank_one_values(states, i[one], j[one], factors)[:, None]
@@ -336,10 +360,7 @@ def _pair_singular_values(states: np.ndarray, i, j, factors, spec=None) -> np.nd
         low = np.flatnonzero(rest & small)
         for r_a, r_b in sorted(set(zip(r_i[low].tolist(), r_j[low].tolist()))):
             sel = low[(r_i[low] == r_a) & (r_j[low] == r_b)]
-            a, b = i[sel], j[sel]
-            out[sel, : r_a + r_b] = _low_rank_singular_values(
-                lam[a, :r_a], vecs[a, :, :r_a], lam[b, :r_b], vecs[b, :, :r_b]
-            )
+            out[sel, : r_a + r_b] = _low_rank_singular_values(factors, i[sel], j[sel], r_a, r_b)
         dense = np.flatnonzero(rest & ~small)
     if spec is not None:
         out = np.zeros(len(i)) if factors is None else linalg.norm_from_singular_values(out, spec)
@@ -390,9 +411,8 @@ def _norms_of(members, first, second, spec: NormSpec, factors=None) -> np.ndarra
     """The one pair walk: ||[members[first], members[second]]|| for each pair.
 
     ``members`` is a stack ``(N, d, d)`` and ``first``, ``second`` index it.
-    ``factors`` are the members' low-rank factors, as ``Ensemble.factors``
-    holds them; when None, they come from one ``eigh`` per member of a pair,
-    at d >= 8.  A Ky Fan order above d raises ``InvalidNormSpec``, pairs or
+    ``factors`` are the members' ``Factors``; when None, they come from one
+    ``eigh`` per member of a pair, at d >= 8.  A Ky Fan order above d raises ``InvalidNormSpec``, pairs or
     not.  A pair's norm depends on its two matrices, in their order, alone:
     the same bits in whatever stack, and at whatever position, it arrives.
     """
@@ -414,7 +434,7 @@ def _pair_norms(pairs, states, spec: NormSpec, factors=None) -> np.ndarray:
     ``pairs`` ``(b, i, j)`` (``_live_pairs`` of the probabilities), and NaN
     elsewhere.
 
-    ``factors`` are those of the batch-flattened members (see ``_norms_of``).
+    ``factors`` are the batch-flattened members' ``Factors`` (see ``_norms_of``).
     """
     states = np.asarray(states)
     n, m = states.shape[:2]
@@ -441,8 +461,8 @@ def quantumness_batch(probs, states, spec: NormSpec, factors=None) -> np.ndarray
     """Quantumness of each ensemble in a stack; see :func:`quantumness`: the
     ``_weighted_sums`` of the stack's ``_pair_norms`` table.
 
-    ``factors`` are the low-rank factors of the batch-flattened members,
-    as ``Ensemble.factors`` holds them (a loaded ensemble's, at every d).
+    ``factors`` are the ``Factors`` of the batch-flattened members, one row
+    per member (a loaded ensemble's ``Ensemble.factors``, at every d).
     When None, the kernel eigendecomposes the members of its pairs from
     d = 8 (``LOW_RANK_MIN_DIM``) on; below it, every pair is dense.  A Ky
     Fan order above d raises ``InvalidNormSpec``, live pairs or not.
@@ -533,8 +553,8 @@ def coarse_grain_batch(probs, states, partitions) -> tuple:
     state sum (p_i / p_s) rho_i, accumulated in the block's index order.
     Rows are padded to the largest block count with zero-probability
     members I/d, which are in no live pair and are not validated.  Returns
-    the probabilities, the states and their factors: from d = 8 on, the
-    eigenpairs of one validation ``eigh`` per barycenter, below it None.
+    the probabilities, the states and, from d = 8 on, the flattened states'
+    ``Factors`` from one validation ``eigh`` per barycenter (else None).
     """
     probs, n = np.asarray(probs, dtype=float), np.shape(probs)[1]
     blocks = [getattr(partition, "blocks", partition) for partition in partitions]
@@ -566,7 +586,7 @@ def coarse_grain_batch(probs, states, partitions) -> tuple:
         out[real] = validate_density_stack(_hermitize(m))
     else:
         out[real], w, v = _validate_density_eigh(_hermitize(m))
-        factors = _low_rank_factors(out.reshape(-1, d, d), real.ravel(), (w, v))
+        factors = Factors.placed(real.size, [(real.ravel(), Factors.from_eigh(w, v))])
     out.setflags(write=False)
     return block_probs, out, factors
 

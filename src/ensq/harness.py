@@ -28,11 +28,10 @@ import numpy as np
 from .ensemble import (
     BLOCK_BYTES,
     Ensemble,
-    _factors_from_eigh,
+    Factors,
     _live_pairs,
     _norms_of,
     _pair_norms,
-    _rank_one_factors,
     _weighted_sums,
     check_weights,
     check_decompositions,
@@ -95,16 +94,13 @@ def _draw_ensemble(random, integers, normal, dim: int, members: int, allow_zero_
     return probs, gauss
 
 
-def _build_ensembles(draws, dim: int, validate) -> tuple:
+def _build_ensembles(draws, dim: int) -> tuple:
     """Stack the ensembles of ``_draw_ensemble`` draws: probabilities and
-    ``validate`` of the states.
+    states, not yet validated.
 
     The draws are grouped by Ginibre rank in one pass, and the states of
-    each rank are generated in one batch.  The whole family is then
-    validated in one call: ``validate_density_stack``, or
-    ``_validate_factored`` where the eigenpairs serve later (the property
-    harness builds E and O in one call, decomposes every member of E, and
-    hands E's and O's factors to the pair kernel).
+    each rank are generated in one batch.  The caller validates the whole
+    family in one call.
     """
     probs = np.array([p for p, _ in draws])
     probs = probs / probs.sum(axis=1, keepdims=True)
@@ -117,15 +113,15 @@ def _build_ensembles(draws, dim: int, validate) -> tuple:
     for slots in by_rank.values():
         t, i, g = zip(*slots)
         states[list(t), list(i)] = _ginibre(np.stack(g))
-    return probs, validate(states)
+    return probs, states
 
 
 def random_ensemble(dim: int, members: int, rng, allow_zero_prob: bool = False) -> Ensemble:
     """Random ensemble of Ginibre states (random ranks) with random weights."""
     draws = [_draw_ensemble(rng.random, rng.integers, rng.standard_normal, dim, members,
                             allow_zero_prob)]
-    probs, states = _build_ensembles(draws, dim, validate_density_stack)
-    return Ensemble.from_stack(probs[0], states[0])
+    probs, states = _build_ensembles(draws, dim)
+    return Ensemble.from_stack(probs[0], validate_density_stack(states)[0])
 
 
 def _build_classical(draws, u) -> tuple:
@@ -142,8 +138,7 @@ def _build_classical(draws, u) -> tuple:
     diag = np.array([d for _, _, d in draws])
     diag = diag / diag.sum(axis=-1, keepdims=True)
     m = (u[:, None] * diag[..., None, :]) @ _adjoint(u)[:, None]
-    members, d = diag.shape[1:]
-    factors = _factors_from_eigh(diag.reshape(-1, d), np.repeat(u, members, axis=0))
+    factors = Factors.from_eigh(diag, np.repeat(u, diag.shape[1], axis=0))
     return probs, validate_density_stack(_hermitize(m)), factors
 
 
@@ -191,28 +186,18 @@ def _classicality_fails(m: float, classical: bool, slack: float) -> bool:
     return m > slack if classical else m <= 0.0
 
 
-def _validate_factored(stack) -> tuple:
-    """``_validate_density_eigh`` of a ``(B, m, d, d)`` stack: the validated
-    states, their eigenpairs ``(w, v)`` and the ``_factors_from_eigh`` of
-    the batch-flattened members, which the pair kernel takes in place of
-    its own member ``eigh``."""
-    states, w, v = _validate_density_eigh(stack)
-    d = states.shape[-1]
-    return states, (w, v), _factors_from_eigh(w.reshape(-1, d), v.reshape(-1, d, d))
-
-
 def _variant_values(probs, states, factors, norms, target, parts, vectors, spec) -> np.ndarray:
     """M ``(B, K)`` of ensemble b with member ``target[b]`` replaced by each
     of ``parts[b]`` ``(K, d, d)``, the projectors onto the unit ``vectors[b]``
     ``(K, d)``.
 
-    ``factors`` are those of the batch-flattened members of ``states``, and
-    ``norms`` is the ``_pair_norms`` table of the ensembles.  A variant
-    keeps every pair that avoids the target, so only the target's live
-    pairs are computed, in the variant's member order: [E_i, part] for
-    i < target, else [part, E_i] (the swapped commutator is the negated
-    matrix, whose eigenvalues need not round the same).  Every part is rank
-    1, with ``_rank_one_factors`` of its vector, so each of those pairs is
+    ``factors`` are the ``Factors`` of the batch-flattened members of
+    ``states``, and ``norms`` is the ``_pair_norms`` table of the
+    ensembles.  A variant keeps every pair that avoids the target, so only
+    the target's live pairs are computed, in the variant's member order:
+    [E_i, part] for i < target, else [part, E_i] (the swapped commutator is
+    the negated matrix, whose eigenvalues need not round the same).  Every
+    part is rank 1 (``Factors.from_vectors``), so each of those pairs is
     zero or takes the kernel's rank-1 route: no eigensolve runs.
     """
     n, m = probs.shape
@@ -227,7 +212,7 @@ def _variant_values(probs, states, factors, norms, target, parts, vectors, spec)
     values = _norms_of(
         np.concatenate([states.reshape(-1, d, d), parts.reshape(-1, d, d)]),
         np.where(i < t, member, piece), np.where(i < t, piece, member), spec,
-        tuple(map(np.concatenate, zip(factors, _rank_one_factors(vectors.reshape(-1, d))))),
+        Factors.join([factors, Factors.from_vectors(vectors)]),
     )
     tables = np.repeat(norms[:, None], k, axis=1)
     tables[b, part, np.minimum(i, t), np.maximum(i, t)] = values
@@ -252,11 +237,11 @@ def _run_trials(
     # eigenpairs serve E's decomposition, and as factors they spare the
     # kernel its member eigh and send every pair with a rank-1 member down
     # its rank-1 route.
-    both, (both_states, (w, v), both_factors) = _build_ensembles(
-        [*ensembles, *others], dim, _validate_factored
-    )
+    both, raw = _build_ensembles([*ensembles, *others], dim)
+    both_states, w, v = _validate_density_eigh(raw)
+    both_factors = Factors.from_eigh(w, v)
     probs, o_probs, states, o_states = both[:n], both[n:], both_states[:n], both_states[n:]
-    factors = tuple(f[: n * members] for f in both_factors)
+    factors = both_factors.take(slice(n * members))
     classical_e = is_classical_batch(probs, states, slack)
 
     # Each trial's classical basis and conjugating unitary, from one batch.
@@ -268,10 +253,8 @@ def _run_trials(
     classical_cl = is_classical_batch(cl_probs, cl_states, slack)
 
     # U v and the same shifted eigenvalues are eigenpairs of U rho U^+.
-    ranks, shifted, vecs = factors
-    u_vecs = (u[n:, None] @ vecs.reshape(n, members, *vecs.shape[1:])).reshape(vecs.shape)
-    conjugated = conjugate_batch(states, u[n:])
-    m_conj = quantumness_batch(probs, conjugated, spec, (ranks, shifted, u_vecs))
+    u_factors = factors.conjugated(np.repeat(u[n:], members, axis=0))
+    m_conj = quantumness_batch(probs, conjugate_batch(states, u[n:]), spec, u_factors)
 
     # E, O and their union from one table: the union's live pairs are among
     # those live under E's and O's own probabilities.
@@ -280,11 +263,8 @@ def _run_trials(
     u_probs, u_states = union_batch([probs, o_probs], [states, o_states], lam)
     live = _live_pairs(np.concatenate([probs, o_probs], axis=1))
     # The union's members are E's then O's in each trial: interleave the factors.
-    u_factors = tuple(
-        f.reshape(2, n, members, *f.shape[1:]).swapaxes(0, 1).reshape(f.shape)
-        for f in both_factors
-    )
-    norms = _pair_norms(live, u_states, spec, u_factors)
+    order = np.arange(2 * n * members).reshape(2, n, members).swapaxes(0, 1).ravel()
+    norms = _pair_norms(live, u_states, spec, both_factors.take(order))
     e_norms = norms[:, :members, :members]
     m_e = _weighted_sums(probs, e_norms, _live_pairs(probs))
     m_o = _weighted_sums(o_probs, norms[:, members:, members:], _live_pairs(o_probs))
@@ -305,7 +285,7 @@ def _run_trials(
         fine_probs,
         proj.reshape(n, members * dim, dim, dim),
         spec,
-        _rank_one_factors(vectors.reshape(-1, dim)),
+        Factors.from_vectors(vectors),
     )
 
     # Every trial's coarse-graining in one batch, whatever its block count.

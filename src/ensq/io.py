@@ -22,11 +22,12 @@ every diagnostic names the offending member.
 
 Eigensolves, the same at every d: ``psi`` members take none, since their
 projectors are valid by construction (``states.projector_stack``) and
-their low-rank factors are their normalized amplitudes (rank 1,
+their ``Factors.from_vectors`` are their normalized amplitudes (rank 1,
 lambda 1).  ``rho`` members, and ``bloch`` members once they pass the
 Bloch-ball check, are validated from one ``eigh`` each
-(``states._validate_density_eigh``), whose eigenpairs become their
-low-rank factors.  So every loaded ``Ensemble`` carries factors, and
+(``states._validate_density_eigh``), whose eigenpairs give their
+``Factors.from_eigh``.  Each kind's factors are ``Factors.placed`` at its
+members' rows, so every loaded ``Ensemble`` carries factors, and
 ``quantumness`` of it runs no member eigensolve of its own, only the
 commutator ``eigvalsh`` of its low-rank and (but for Frobenius) dense pairs.
 """
@@ -39,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import Ensemble, _factor_columns, _factors_from_eigh, _rank_one_factors
+from .ensemble import Ensemble, Factors
 from .errors import EnsembleFileError, EnsqError
 from .states import _bloch_matrices, _validate_density_eigh, projector_stack
 
@@ -112,35 +113,32 @@ def _member_states(idx: list, make, values) -> np.ndarray:
 
 def _validated_states(members: list, kinds: dict, dim: int) -> tuple:
     """Validated ``(m, dim, dim)`` stack of every member's state, and its
-    low-rank factors (``Ensemble.factors``)."""
+    ``Factors`` (``Ensemble.factors``)."""
     parts = []  # (members, states, factors)
     idx = kinds["rho"]
     if idx:
         what = f"a {dim}x{dim} matrix of [re, im] pairs"
         rho = _complex(_kind_stack(members, idx, "rho", (dim, dim, 2), what))
         states, w, v = _member_states(idx, _validate_density_eigh, rho)
-        parts.append((idx, states, _factors_from_eigh(w, v)))
+        parts.append((idx, states, Factors.from_eigh(w, v)))
     idx = kinds["psi"]
     if idx:
         amps = _complex(_kind_stack(members, idx, "psi", (dim, 2), f"{dim} [re, im] amplitudes"))
         states = _member_states(idx, projector_stack, amps)
         # Rank 1, lambda 1, the normalized amplitudes: no eigh.
         unit = amps / np.linalg.norm(amps, axis=-1, keepdims=True)
-        parts.append((idx, states, _rank_one_factors(unit)))
+        parts.append((idx, states, Factors.from_vectors(unit)))
     idx = kinds["bloch"]
     if idx:
         r = _kind_stack(members, idx, "bloch", (3,), "[x, y, z]")
         raw = _member_states(idx, _bloch_matrices, r)
         states, w, v = _member_states(idx, _validate_density_eigh, raw)
-        parts.append((idx, states, _factors_from_eigh(w, v)))
+        parts.append((idx, states, Factors.from_eigh(w, v)))
     # Allocated last, so that it is not held while a kind is validated.
-    m, c = len(members), _factor_columns(dim)
-    stack = np.empty((m, dim, dim), dtype=complex)
-    ranks, shifted = np.empty(m, dtype=int), np.empty((m, c))
-    vecs = np.empty((m, dim, c), dtype=complex)
-    for idx, states, (r, lam, vec) in parts:
-        stack[idx], ranks[idx], shifted[idx], vecs[idx] = states, r, lam, vec
-    return stack, (ranks, shifted, vecs)
+    stack = np.empty((len(members), dim, dim), dtype=complex)
+    for idx, states, _ in parts:
+        stack[idx] = states
+    return stack, Factors.placed(len(members), [(idx, f) for idx, _, f in parts])
 
 
 def load_ensemble(path) -> Ensemble:

@@ -695,7 +695,7 @@ def test_load_and_compute_eigendecompose_each_member_once_from_d_8(tmp_path, mon
     # Kept-eigenvalue ranks: a full-rank state has no repeated eigenvalue.
     # The psi members' factors are their amplitudes.
     ranks = [1, 1, 3, 3, 3, dim - 1, dim - 1, dim - 1, 1, 1, 1, 1, 1]
-    assert e.factors[0].tolist() == ranks
+    assert e.factors.ranks.tolist() == ranks
     stack = e.state_stack
     overlaps = [
         np.trace(stack[a] @ stack[b]).real
@@ -757,7 +757,7 @@ def test_loaded_ensembles_below_d_8_match_the_oracle(tmp_path, name):
     e = io.load_ensemble(path)
     probs, stack = plain_parse_stack(text)
     assert e.state_stack.tobytes() == stack.tobytes()
-    ranks = e.factors[0]
+    ranks = e.factors.ranks
     identity = [np.array_equal(s, np.eye(e.dim) / e.dim) for s in stack]
     assert (ranks == 0).tolist() == identity
     if name.startswith(("bloch", "kinds")):
@@ -795,7 +795,7 @@ def test_load_and_compute_below_d_8_eigendecompose_each_member_once(tmp_path, mo
         counts = count_eigensolves(monkeypatch)
         e = io.load_ensemble(path)
         quantumness(e, NormSpec.trace())
-        ranks = e.factors[0].tolist()
+        ranks = e.factors.ranks.tolist()
         if dim == 4:  # a full-rank state has no repeated eigenvalue
             assert ranks == [1, 1, 2, 2, 3, 3, 1, 1, 3, 0]
             clamped = e.state_stack[8].tobytes() != unvalidated_states(json.dumps(data))[8].tobytes()

@@ -440,10 +440,12 @@ def test_coarse_grain_batch_of_mixed_block_counts_is_one_coarse_grain_per_partit
         assert states[b, :k].tobytes() == alone.state_stack.tobytes()
         assert [v[b].hex() for v in values] == [quantumness(alone, s).hex() for s in SPECS]
         assert (alone.factors is None) == (factors is None)
-        for got, want in zip(factors or (), alone.factors or ()):
-            got = got.reshape(6, members, *got.shape[1:])
-            assert got[b, :k].tobytes() == want.tobytes()
-            assert not got[b, k:].any()
+        if factors is not None:
+            rows = b * members + np.arange(members)
+            got, want = factors.take(rows[:k]), alone.factors
+            for name in ("ranks", "shifted", "vecs"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert not getattr(factors.take(rows[k:]), name).any()
 
 
 def test_single_block_coarse_grain_gives_barycenter_with_zero_quantumness():

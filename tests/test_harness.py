@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from ensq import harness
 from ensq.ensemble import (
     Ensemble,
+    Factors,
     _live_pairs,
     _pair_norms,
-    _rank_one_factors,
     _weighted_sums,
     is_classical,
     quantumness,
@@ -31,14 +31,13 @@ from ensq.harness import (
     _classicality_fails,
     _draw_ensemble,
     _trial_draws,
-    _validate_factored,
     _variant_values,
     check_properties,
     run_single_trial,
 )
 from ensq.linalg import NormSpec
 from ensq.measures import plus_state
-from ensq.states import PureState, _eigenprojectors, projector
+from ensq.states import PureState, _eigenprojectors, _validate_density_eigh, projector
 
 from _oracles import draw_trial
 
@@ -147,13 +146,12 @@ def _union_and_variant_case(dim, n=12, members=3):
     vectors as its parts."""
     rng = np.random.default_rng([31, dim])
     draw = (rng.random, rng.integers, rng.standard_normal)
-    probs, (states, eig, factors) = _build_ensembles(
-        [_draw_ensemble(*draw, dim, members, allow_zero_prob=True) for _ in range(n)], dim,
-        _validate_factored,
+    probs, raw = _build_ensembles(
+        [_draw_ensemble(*draw, dim, members, allow_zero_prob=True) for _ in range(n)], dim
     )
-    o_probs, (o_states, _, o_factors) = _build_ensembles(
-        [_draw_ensemble(*draw, dim, members) for _ in range(n)], dim, _validate_factored
-    )
+    states, w, v = _validate_density_eigh(raw)
+    o_probs, raw = _build_ensembles([_draw_ensemble(*draw, dim, members) for _ in range(n)], dim)
+    o_states, o_w, o_v = _validate_density_eigh(raw)
     for row, dead in ((0, 0), (1, members - 1), (2, 1)):
         probs[row, dead] = 0.0
         probs[row] /= probs[row].sum()
@@ -162,11 +160,11 @@ def _union_and_variant_case(dim, n=12, members=3):
     lam = rng.random((n, 2))
     lam[4:6] = [[1.0, 0.0], [0.0, 1.0]]
     lam = lam / lam.sum(axis=1, keepdims=True)
-    _, proj, vectors = _eigenprojectors(states, eig)
+    _, proj, vectors = _eigenprojectors(states, (w, v))
     rows = np.arange(n)
     return (
-        (probs, states, factors), (o_probs, o_states, o_factors), lam, target,
-        proj[rows, target], vectors[rows, target],
+        (probs, states, Factors.from_eigh(w, v)), (o_probs, o_states, Factors.from_eigh(o_w, o_v)),
+        lam, target, proj[rows, target], vectors[rows, target],
     )
 
 
@@ -180,12 +178,9 @@ def test_spliced_union_and_variant_values_equal_the_plain_kernel_bit_for_bit(dim
     (probs, states, factors), (o_probs, o_states, o_factors) = e, o
     n, members = probs.shape
     u_probs, u_states = union_batch([probs, o_probs], [states, o_states], lam)
-    u_factors = tuple(  # E's then O's members in each ensemble, as union_batch joins them
-        np.concatenate([e.reshape(n, members, -1), o.reshape(n, members, -1)], axis=1).reshape(
-            e.shape[0] * 2, *e.shape[1:]
-        )
-        for e, o in zip(factors, o_factors)
-    )
+    # E's then O's members in each ensemble, as union_batch joins them.
+    rows = np.arange(2 * n * members).reshape(2, n, members).swapaxes(0, 1).ravel()
+    u_factors = Factors.join([factors, o_factors]).take(rows)
     live = _live_pairs(np.concatenate([probs, o_probs], axis=1))
     norms = _pair_norms(live, u_states, spec, u_factors)
     e_norms = norms[:, :members, :members]
@@ -203,14 +198,13 @@ def test_spliced_union_and_variant_values_equal_the_plain_kernel_bit_for_bit(dim
     rows = np.arange(n)
     variants = np.repeat(states[:, None], dim, axis=1)
     variants[rows, :, target] = parts
-    variant_factors = []
-    for whole, part in zip(factors, _rank_one_factors(vectors.reshape(-1, dim))):
-        whole = np.repeat(whole.reshape(n, 1, members, *whole.shape[1:]), dim, axis=1)
-        whole[rows, :, target] = part.reshape(n, dim, *part.shape[1:])
-        variant_factors.append(whole.reshape(-1, *part.shape[1:]))
+    # Variant (b, k) holds E_b's members, with part k of b at the target.
+    member = np.repeat(np.arange(n * members).reshape(n, 1, members), dim, axis=1)
+    member[rows, :, target] = n * members + np.arange(n * dim).reshape(n, dim)
+    variant_factors = Factors.join([factors, Factors.from_vectors(vectors)]).take(member.ravel())
     want = quantumness_batch(
         np.repeat(probs, dim, axis=0), variants.reshape(n * dim, members, dim, dim), spec,
-        tuple(variant_factors),
+        variant_factors,
     )
     assert _bits(got.ravel()) == _bits(want)
 

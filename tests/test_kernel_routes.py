@@ -11,6 +11,7 @@ closed form 2 sqrt(p_1 p_2) ||[P, Q]|| with singular values
 c sqrt(1 - c^2).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,11 +22,10 @@ from hypothesis import strategies as st
 from ensq import ensemble, linalg
 from ensq.ensemble import (
     Ensemble,
+    Factors,
     _commutators,
-    _factors_from_eigh,
     _low_rank_factors,
     _pair_singular_values,
-    _rank_one_factors,
     is_classical,
     is_classical_batch,
     quantumness,
@@ -86,7 +86,7 @@ def test_member_ranks_and_route_gate():
             low_rank_state(d, d, rng),
         ]
     )
-    ranks, _, _ = _low_rank_factors(stack, np.ones(len(stack), dtype=bool))
+    ranks = _low_rank_factors(stack, np.ones(len(stack), dtype=bool)).ranks
     assert ranks.tolist() == [1, 2, 1, 0, d - 1]
     small = np.stack([low_rank_state(4, 1, rng), np.eye(4) / 4])
     assert _low_rank_factors(small, np.ones(2, dtype=bool)) is None
@@ -259,7 +259,7 @@ def test_low_rank_route_agrees_with_dense_route(dim, data, eps, seed):
         [low_rank_state(dim, r_a, rng, eps[0]), low_rank_state(dim, r_b, rng, eps[1])]
     )
     factors = _low_rank_factors(stack, np.ones(2, dtype=bool))
-    assert factors[0].tolist() == [r_a, r_b]
+    assert factors.ranks.tolist() == [r_a, r_b]
     i, j = np.array([0]), np.array([1])
     low = _pair_singular_values(stack, i, j, factors)[0]
     dense = _pair_singular_values(stack, i, j, None)[0]
@@ -313,8 +313,8 @@ def test_rank_one_pairs_match_the_closed_form_at_any_overlap(dim, c, eps, rotate
     # unrotated tolerance by orders of magnitude.
     rng = np.random.default_rng(seed)
     stack, vectors = overlap_pair(dim, c, eps, rng, rotate)
-    ranks, lam, vecs = _rank_one_factors(vectors)
-    factors = ranks, lam * np.array(eps)[:, None], vecs
+    factors = Factors.from_vectors(vectors)
+    factors = dataclasses.replace(factors, shifted=factors.shifted * np.array(eps)[:, None])
     got = _pair_singular_values(stack, np.array([0]), np.array([1]), factors)[0]
     want = eps[0] * eps[1] * analytic_pair_singular_values(c, dim)
     # A rotated input carries round-off of its own (about 1e-16 of
@@ -346,13 +346,12 @@ def test_rank_one_route_agrees_with_dense_route(dim, rank, eps, rank_one_first, 
     a = validate_density_stack(low_rank_state(dim, min(rank, dim), rng)[None])[0]
     v = unitary(dim, rng)[:, 0]
     b = (1.0 - eps) * np.eye(dim) / dim + eps * np.outer(v, v.conj())
-    f_a = _factors_from_eigh(*np.linalg.eigh(a[None]))
-    f_b = _rank_one_factors(v[None])
-    f_b = f_b[0], f_b[1] * eps, f_b[2]
-    pieces = (f_b, f_a) if rank_one_first else (f_a, f_b)
-    factors = tuple(map(np.concatenate, zip(*pieces)))
+    f_a = Factors.from_eigh(*np.linalg.eigh(a))
+    f_b = Factors.from_vectors(v)
+    f_b = dataclasses.replace(f_b, shifted=f_b.shifted * eps)
+    factors = Factors.join([f_b, f_a] if rank_one_first else [f_a, f_b])
     stack = np.stack([b, a] if rank_one_first else [a, b])
-    assert 1 in factors[0][:2] and 0 not in factors[0][:2]
+    assert 1 in factors.ranks and 0 not in factors.ranks
     i, j = np.array([0]), np.array([1])
     got = _pair_singular_values(stack, i, j, factors)[0]
     dense = _pair_singular_values(stack, i, j, None)[0]
@@ -368,7 +367,7 @@ def test_kyfan_orders_up_to_the_dimension_on_the_rank_one_route(dim):
     v[1] -= np.vdot(v[0], v[1]) * v[0]
     v[1] = 0.5 * v[0] + math.sqrt(0.75) * v[1] / np.linalg.norm(v[1])
     stack = np.einsum("ni,nj->nij", v, v.conj())
-    factors = _rank_one_factors(v)
+    factors = Factors.from_vectors(v)
     i, j = np.array([0]), np.array([1])
     assert _pair_singular_values(stack, i, j, factors).shape == (1, dim)
     probs = np.array([[0.25, 0.75]])
@@ -390,11 +389,10 @@ def test_rank_one_route_takes_no_eigensolve_at_any_overlap(dim, monkeypatch):
     far = overlap_pair(dim, 0.5, (1.0, 0.5), rng, rotate=False)
     full = low_rank_state(dim, dim, rng)
     stack = np.concatenate([near[0], far[0], full[None]])
-    ranks, lam, vecs = _rank_one_factors(np.concatenate([near[1], far[1]]))
-    lam[3] *= 0.5
-    f_full = _factors_from_eigh(*np.linalg.eigh(full[None]))
-    factors = tuple(map(np.concatenate, zip((ranks, lam, vecs), f_full)))
-    assert factors[0].tolist() == [1, 1, 1, 1, dim - 1]
+    pure = Factors.from_vectors(np.concatenate([near[1], far[1]]))
+    pure = dataclasses.replace(pure, shifted=pure.shifted * [[1.0], [1.0], [1.0], [0.5]])
+    factors = Factors.join([pure, Factors.from_eigh(*np.linalg.eigh(full))])
+    assert factors.ranks.tolist() == [1, 1, 1, 1, dim - 1]
     solved = []
     for name in ("eigvalsh", "eigh", "qr"):
 
