@@ -12,10 +12,10 @@ verifies, with additive slack, that
 
 Trial t of a run draws from ``default_rng([seed, t])``, so any single
 trial can be replayed in isolation via :func:`run_single_trial`.  A run
-first takes every trial's random numbers, in that order, and then
-evaluates all trials together through the stack forms of
-:mod:`ensq.ensemble`; a replayed trial is the same evaluation with a batch
-of one and reproduces every number bit for bit.
+first draws every trial's random numbers, in that order, straight into
+the chunk's arrays, then evaluates all trials together through the stack
+forms of :mod:`ensq.ensemble`; a replayed trial is the same evaluation
+with a batch of one and reproduces every number bit for bit.
 """
 
 from __future__ import annotations
@@ -83,101 +83,102 @@ _BOOL_FAIL = 1.0
 _CHUNK = 250
 
 
-def _draw_ensemble(random, integers, normal, dim: int, members: int, allow_zero_prob=False):
-    """Random numbers for one Ginibre ensemble: raw weights, per-member
-    Gaussians, from a generator's bound ``random``, ``integers`` and
-    ``standard_normal``."""
-    probs = random(members)
-    if allow_zero_prob and members >= 3 and random() < 0.2:
-        probs[int(integers(members))] = 0.0
-    gauss = [normal((2, dim, int(integers(1, dim + 1)))) for _ in range(members)]
-    return probs, gauss
+class _Ginibre:
+    """Raw weights and Gaussians of a stack ``shape`` of Ginibre ensembles,
+    drawn in place.  A member's Gaussian ``(2, d, r)`` for its drawn rank r
+    fills the first ``2 d r`` entries of its own row of ``gauss``, so the
+    stack takes ``16 d^2`` bytes a member, whatever the ranks."""
 
+    def __init__(self, shape: tuple, dim: int, members: int):
+        self.dim, self.weights = dim, np.empty((*shape, members))
+        self.ranks = np.empty((*shape, members), dtype=np.intp)
+        self.gauss = np.empty((*shape, members, 2 * dim * dim))
 
-def _build_ensembles(draws, dim: int) -> tuple:
-    """Stack the ensembles of ``_draw_ensemble`` draws: probabilities and
-    states, not yet validated.
+    def draw(self, rng, at, allow_zero_prob: bool = False) -> None:
+        """Draw ensemble ``at``: raw weights (where allowed and m >= 3, one
+        zeroed with probability 0.2), then each member's rank and Gaussian."""
+        random, integers, normal = rng.random, rng.integers, rng.standard_normal
+        probs, ranks, dim = self.weights[at], self.ranks[at], self.dim
+        random(out=probs)
+        if allow_zero_prob and len(probs) >= 3 and random() < 0.2:
+            probs[int(integers(len(probs)))] = 0.0
+        for i, row in enumerate(self.gauss[at]):
+            r = ranks[i] = int(integers(1, dim + 1))
+            normal(out=row[: 2 * dim * r])  # the draw of shape (2, d, r), flat
 
-    The draws are grouped by Ginibre rank in one pass, and the states of
-    each rank are generated in one batch.  The caller validates the whole
-    family in one call.
-    """
-    probs = np.array([p for p, _ in draws])
-    probs = probs / probs.sum(axis=1, keepdims=True)
-    check_weights(probs, "ensemble probabilities")
-    by_rank = {}
-    for t, (_, gauss) in enumerate(draws):
-        for i, g in enumerate(gauss):
-            by_rank.setdefault(g.shape[-1], []).append((t, i, g))
-    states = np.empty((*probs.shape, dim, dim), dtype=complex)
-    for slots in by_rank.values():
-        t, i, g = zip(*slots)
-        states[list(t), list(i)] = _ginibre(np.stack(g))
-    return probs, states
+    def stacks(self) -> tuple:
+        """Probabilities and unvalidated states, each rank's from one batch."""
+        probs = self.weights / self.weights.sum(axis=-1, keepdims=True)
+        check_weights(probs, "ensemble probabilities")
+        d = self.dim
+        states = np.empty((*self.ranks.shape, d, d), dtype=complex)
+        for r in np.unique(self.ranks).tolist():
+            drawn = self.ranks == r
+            states[drawn] = _ginibre(self.gauss[..., : 2 * d * r][drawn].reshape(-1, 2, d, r))
+        return probs, states
 
 
 def random_ensemble(dim: int, members: int, rng, allow_zero_prob: bool = False) -> Ensemble:
     """Random ensemble of Ginibre states (random ranks) with random weights."""
-    draws = [_draw_ensemble(rng.random, rng.integers, rng.standard_normal, dim, members,
-                            allow_zero_prob)]
-    probs, states = _build_ensembles(draws, dim)
-    return Ensemble.from_stack(probs[0], validate_density_stack(states)[0])
+    _check_params(dim, members)
+    drawn = _Ginibre((), dim, members)
+    drawn.draw(rng, (), allow_zero_prob)
+    probs, states = drawn.stacks()
+    return Ensemble.from_stack(probs, validate_density_stack(states))
 
 
-def _build_classical(draws, u) -> tuple:
-    """Pairwise commuting ensembles: random diagonals in the Haar basis ``u[b]`` of each.
-
-    Returns the probabilities, the validated states and the factors of the
-    batch-flattened members, from the diagonals and the basis, their
-    eigenpairs by construction: at d >= 8 they spare the kernel a member
-    ``eigh`` per state.
-    """
-    probs = np.array([p for _, p, _ in draws])
-    probs = probs / probs.sum(axis=1, keepdims=True)
-    check_weights(probs, "ensemble probabilities")
-    diag = np.array([d for _, _, d in draws])
-    diag = diag / diag.sum(axis=-1, keepdims=True)
-    m = (u[:, None] * diag[..., None, :]) @ _adjoint(u)[:, None]
-    factors = Factors.from_eigh(diag, np.repeat(u, diag.shape[1], axis=0))
-    return probs, validate_density_stack(_hermitize(m)), factors
-
-
-def _draw_trial(rng, dim: int, members: int) -> tuple:
-    """Every random number one trial consumes, in the order it draws them,
-    with the generator's methods bound once: E, the classical ensemble, the
-    unitary, O, the union weights, the target and the coarse-graining blocks.
-    The blocks, plain tuples, are contiguous chunks of a shuffled index
+def _draw_trials(dim: int, members: int, seed: int, trials) -> tuple:
+    """Every random number of the given trials, written straight into the
+    chunk's arrays.  Trial t draws from ``default_rng([seed, t])``, in this
+    order: E, the classical basis Gaussian, weights and diagonals, the
+    unitary's Gaussian, O, the union weights, the target and the blocks.
+    The blocks (plain tuples) are contiguous chunks of a shuffled index
     list, drawn up to 20 times until no block has zero probability, else
-    the single block."""
-    random, integers, normal = rng.random, rng.integers, rng.standard_normal
-    permutation, choice = rng.permutation, rng.choice
-    ensemble = _draw_ensemble(random, integers, normal, dim, members, allow_zero_prob=True)
-    classical = (normal((2, dim, dim)), random(members), random((members, dim)))
-    unitary = normal((2, dim, dim))
-    other = _draw_ensemble(random, integers, normal, dim, members)
-    lam = random(2)
-    target = int(integers(members))
-    p = ensemble[0].tolist()  # zero patterns of raw and normalized weights coincide
-    blocks = (tuple(range(members)),)
-    for _ in range(20):
-        order = permutation(members).tolist()
-        nblocks = int(integers(1, members + 1))
-        cuts = []
-        if nblocks > 1:  # the draw of choice(np.arange(1, members), ...), as indices
-            cuts = sorted((choice(members - 1, size=nblocks - 1, replace=False) + 1).tolist())
-        bounds = [0, *cuts, members]
-        drawn = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
-        if all(sum(p[i] for i in blk) > 0.0 for blk in drawn):
-            blocks = drawn
-            break
-    return ensemble, classical, unitary, other, lam, target, blocks
+    the single block.  Returns E and O as one ``_Ginibre`` ``(2, n)``, the
+    bases' then the unitaries' Gaussians ``(2n, 2, d, d)``, the classical
+    weights ``(n, m)`` and diagonals ``(n, m, d)``, the union weights
+    ``(n, 2)``, the targets ``(n,)`` and each trial's blocks."""
+    n = len(trials)
+    both = _Ginibre((2, n), dim, members)
+    bases = np.empty((2 * n, 2, dim, dim))
+    cl_weights, diag = np.empty((n, members)), np.empty((n, members, dim))
+    lam, target, blocks = np.empty((n, 2)), np.empty(n, dtype=np.intp), []
+    for row, t in enumerate(trials):
+        rng = np.random.Generator(np.random.PCG64([seed, t]))  # default_rng's, built directly
+        both.draw(rng, (0, row), allow_zero_prob=True)
+        rng.standard_normal(out=bases[row])
+        rng.random(out=cl_weights[row])
+        rng.random(out=diag[row])
+        rng.standard_normal(out=bases[n + row])
+        both.draw(rng, (1, row))
+        rng.random(out=lam[row])
+        target[row] = rng.integers(members)
+        p = both.weights[0, row].tolist()  # zero patterns of raw and normalized weights coincide
+        drawn = (tuple(range(members)),)
+        for _ in range(20):
+            order = rng.permutation(members).tolist()
+            nblocks = int(rng.integers(1, members + 1))
+            cuts = []
+            if nblocks > 1:  # the draw of choice(np.arange(1, members), ...), as indices
+                cuts = sorted((rng.choice(members - 1, size=nblocks - 1, replace=False) + 1).tolist())
+            bounds = [0, *cuts, members]
+            part = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
+            if all(sum(p[i] for i in blk) > 0.0 for blk in part):
+                drawn = part
+                break
+        blocks.append(drawn)
+    return both, bases, cl_weights, diag, lam, target, blocks
 
 
-def _trial_draws(dim: int, members: int, seed: int, trials) -> list:
-    """``_draw_trial`` of each trial t, from ``default_rng([seed, t])``."""
-    # default_rng builds exactly this generator; the direct call is cheaper.
-    pcg, generator = np.random.PCG64, np.random.Generator
-    return [_draw_trial(generator(pcg([seed, t])), dim, members) for t in trials]
+def _check_params(dim: int, members: int, slack: float = DEFAULT_SLACK, **counts) -> None:
+    """Raise ``ParamOutOfRange`` unless dim and members are >= 2, slack is
+    finite and >= 0, trials >= 1 and a seed or a trial >= 0."""
+    lowest = {"dim": 2, "members": 2, "trials": 1, "seed": 0, "trial": 0}
+    for name, value in {"dim": dim, "members": members, **counts}.items():
+        if value < lowest[name]:
+            raise ParamOutOfRange(f"{name} must be >= {lowest[name]}, got {value}")
+    if not 0.0 <= slack < math.inf:
+        raise ParamOutOfRange(f"slack must be finite and >= 0, got {slack!r}")
 
 
 def _classicality_fails(m: float, classical: bool, slack: float) -> bool:
@@ -228,8 +229,7 @@ def _run_trials(
     Columns follow ``PROPERTY_NAMES``.  A violation is the amount by which
     the required inequality is broken (positive means broken).
     """
-    draws = _trial_draws(dim, members, seed, trials)
-    ensembles, classical, unitary, others, lam, target, blocks = zip(*draws)
+    both, bases, cl_weights, diag, lam, target, blocks = _draw_trials(dim, members, seed, trials)
     n = len(blocks)
     rows = np.arange(n)
 
@@ -237,18 +237,26 @@ def _run_trials(
     # eigenpairs serve E's decomposition, and as factors they spare the
     # kernel its member eigh and send every pair with a rank-1 member down
     # its rank-1 route.
-    both, raw = _build_ensembles([*ensembles, *others], dim)
-    both_states, w, v = _validate_density_eigh(raw)
+    (probs, o_probs), raw = both.stacks()
+    both_states, w, v = _validate_density_eigh(raw.reshape(2 * n, members, dim, dim))
     both_factors = Factors.from_eigh(w, v)
-    probs, o_probs, states, o_states = both[:n], both[n:], both_states[:n], both_states[n:]
+    states, o_states = both_states[:n], both_states[n:]
     factors = both_factors.take(slice(n * members))
     classical_e = is_classical_batch(probs, states, slack)
 
     # Each trial's classical basis and conjugating unitary, from one batch.
-    u = haar_unitaries(np.stack([g for g, _, _ in classical] + list(unitary)))
+    u = haar_unitaries(bases)
 
-    # Positivity, and zero exactly on classical ensembles.
-    cl_probs, cl_states, cl_factors = _build_classical(classical, u[:n])
+    # Positivity, and zero exactly on classical ensembles: random diagonals
+    # in each trial's Haar basis, their eigenpairs by construction, which as
+    # factors spare the kernel a member eigh per state at d >= 8.
+    cl_probs = cl_weights / cl_weights.sum(axis=1, keepdims=True)
+    check_weights(cl_probs, "ensemble probabilities")
+    diag = diag / diag.sum(axis=-1, keepdims=True)
+    basis = u[:n]
+    cl_states = (basis[:, None] * diag[..., None, :]) @ _adjoint(basis)[:, None]
+    cl_states = validate_density_stack(_hermitize(cl_states))
+    cl_factors = Factors.from_eigh(diag, np.repeat(basis, members, axis=0))
     m_cl = quantumness_batch(cl_probs, cl_states, spec, cl_factors)
     classical_cl = is_classical_batch(cl_probs, cl_states, slack)
 
@@ -258,7 +266,6 @@ def _run_trials(
 
     # E, O and their union from one table: the union's live pairs are among
     # those live under E's and O's own probabilities.
-    lam = np.array(lam)
     lam = lam / lam.sum(axis=1, keepdims=True)
     u_probs, u_states = union_batch([probs, o_probs], [states, o_states], lam)
     live = _live_pairs(np.concatenate([probs, o_probs], axis=1))
@@ -275,7 +282,6 @@ def _run_trials(
     # rank-1 projectors onto its eigenvectors.
     weights, proj, vectors = _eigenprojectors(states, (w[:n], v[:n]))
     check_decompositions(weights, proj, states, range(members))
-    target = np.array(target)
     m_var = _variant_values(
         probs, states, factors, e_norms, target, proj[rows, target], vectors[rows, target], spec
     )
@@ -323,6 +329,7 @@ def run_single_trial(
     :func:`check_properties` with a batch of one, so it reproduces that
     run's numbers for trial ``trial`` exactly.
     """
+    _check_params(dim, members, slack, seed=seed, trial=trial)
     values, violations = _run_trials(dim, members, spec, seed, [trial], slack)
     return {"quantumness": float(values[0]), **dict(zip(PROPERTY_NAMES, violations[0].tolist()))}
 
@@ -425,14 +432,7 @@ def check_properties(
     slack: float = DEFAULT_SLACK,
 ) -> RunReport:
     """Run the full property suite; deterministic for fixed arguments."""
-    if dim < 2:
-        raise ParamOutOfRange(f"dim must be >= 2, got {dim}")
-    if members < 2:
-        raise ParamOutOfRange(f"members must be >= 2, got {members}")
-    if trials < 1:
-        raise ParamOutOfRange(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ParamOutOfRange(f"seed must be >= 0, got {seed}")
+    _check_params(dim, members, slack, trials=trials, seed=seed)
     command = (
         f"check-properties --dim {dim} --members {members} --trials {trials}"
         f" --seed {seed} --norm {spec.label()}"

@@ -1,7 +1,7 @@
 """Property harness: a batched run and its single-trial replays agree exactly,
 the pair norms it shares (one table for E, O and their union, E's pairs in
 the variants) change no bit, and every trial draws the reference stream of
-``_oracles.draw_trial``."""
+``_oracles.draw_trial``, written straight into the chunk's arrays."""
 
 import math
 import re
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ensq import harness
 from ensq.ensemble import (
+    BLOCK_BYTES,
     Ensemble,
     Factors,
     _live_pairs,
@@ -23,23 +24,31 @@ from ensq.ensemble import (
     quantumness_batch,
     union_batch,
 )
+from ensq.errors import ParamOutOfRange
 from ensq.harness import (
     _CHUNK,
     PROPERTY_NAMES,
     PropertyResult,
-    _build_ensembles,
     _classicality_fails,
-    _draw_ensemble,
-    _trial_draws,
+    _draw_trials,
+    _Ginibre,
     _variant_values,
     check_properties,
+    random_ensemble,
     run_single_trial,
 )
 from ensq.linalg import NormSpec
 from ensq.measures import plus_state
-from ensq.states import PureState, _eigenprojectors, _validate_density_eigh, projector
+from ensq.states import (
+    PureState,
+    _eigenprojectors,
+    _ginibre,
+    _validate_density_eigh,
+    ginibre_states,
+    projector,
+)
 
-from _oracles import draw_trial
+from _oracles import draw_ensemble, draw_trial
 
 CASES = [
     (2, 2, NormSpec.schatten(3.0)),
@@ -81,17 +90,25 @@ def test_trials_replay_across_batch_boundaries():
 
 def test_large_d_runs_in_shorter_batches_that_replay_bit_for_bit(monkeypatch):
     # At d = 32 a trial's 4 * 32 eigenprojectors take 2 MiB, so a batch of
-    # at most ensemble.BLOCK_BYTES (16 MiB) holds 8 trials.
+    # at most ensemble.BLOCK_BYTES (16 MiB) holds 8 trials; the arrays its
+    # random numbers are drawn into stay within the same budget.
     spec = NormSpec.schatten(3.0)
-    sizes = []
+    sizes, drawn = [], []
 
     def recorded(*args, _run=harness._run_trials):
         sizes.append(len(args[4]))
         return _run(*args)
 
+    def measured(*args, _draw=harness._draw_trials):
+        both, *arrays, blocks = _draw(*args)
+        drawn.append(sum(a.nbytes for a in (both.weights, both.ranks, both.gauss, *arrays)))
+        return both, *arrays, blocks
+
     monkeypatch.setattr(harness, "_run_trials", recorded)
+    monkeypatch.setattr(harness, "_draw_trials", measured)
     report = check_properties(32, 4, trials=13, seed=2, spec=spec)
     assert sizes == [8, 5]
+    assert len(drawn) == 2 and max(drawn) <= BLOCK_BYTES
     monkeypatch.undo()
     _assert_replays(report, 32, 4, spec, 2, [0, 7, 8, 12])
 
@@ -145,13 +162,14 @@ def _union_and_variant_case(dim, n=12, members=3):
     weights with a zero, and each target's eigenprojectors and their unit
     vectors as its parts."""
     rng = np.random.default_rng([31, dim])
-    draw = (rng.random, rng.integers, rng.standard_normal)
-    probs, raw = _build_ensembles(
-        [_draw_ensemble(*draw, dim, members, allow_zero_prob=True) for _ in range(n)], dim
-    )
-    states, w, v = _validate_density_eigh(raw)
-    o_probs, raw = _build_ensembles([_draw_ensemble(*draw, dim, members) for _ in range(n)], dim)
-    o_states, o_w, o_v = _validate_density_eigh(raw)
+    drawn = _Ginibre((2, n), dim, members)
+    for row in range(n):
+        drawn.draw(rng, (0, row), allow_zero_prob=True)
+    for row in range(n):
+        drawn.draw(rng, (1, row))
+    (probs, o_probs), raw = drawn.stacks()
+    states, w, v = _validate_density_eigh(raw[0])
+    o_states, o_w, o_v = _validate_density_eigh(raw[1])
     for row, dead in ((0, 0), (1, members - 1), (2, 1)):
         probs[row, dead] = 0.0
         probs[row] /= probs[row].sum()
@@ -257,30 +275,76 @@ def test_property_trials_eigendecompose_each_member_once_and_the_kernel_none(mon
 
         monkeypatch.setattr(np.linalg, name, counted)
     assert check_properties(dim, members, trials, 1, NormSpec.frobenius()).all_passed()
-    blocks = sum(len(draw[-1]) for draw in _trial_draws(dim, members, 1, range(trials)))
+    blocks = sum(map(len, _draw_trials(dim, members, 1, range(trials))[-1]))
     assert rows == {"eigh": 2 * trials * members + blocks, "eigvalsh": 2 * trials * members}
-
-
-def _ensemble_bytes(draw):
-    probs, gauss = draw
-    return [probs.tobytes(), *(g.tobytes() for g in gauss), *(g.shape for g in gauss)]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8])
 @pytest.mark.parametrize("members", [2, 3, 4, 6])
 def test_trial_draws_match_the_reference_stream_field_by_field(dim, members):
+    # Every field of every trial, read back from the chunk's arrays: each
+    # member's rank, its Gaussian in the first 2 d r entries of its row and
+    # the state that row gives, and the raw weights with any zeroed one.
     trials = range(300)
-    for t, got in zip(trials, _trial_draws(dim, members, 23, trials)):
-        ensemble, classical, unitary, other, lam, target, blocks = got
+    both, bases, cl_weights, diag, lam, target, blocks = _draw_trials(dim, members, 23, trials)
+    n = len(trials)
+    _, states = both.stacks()
+    for t in trials:
         want = draw_trial(23, t, dim, members)
-        assert _ensemble_bytes(ensemble) == _ensemble_bytes(want[0]), t
-        assert [a.tobytes() for a in classical] == [a.tobytes() for a in want[1]], t
-        assert unitary.tobytes() == want[2].tobytes(), t
-        assert _ensemble_bytes(other) == _ensemble_bytes(want[3]), t
-        assert lam.tobytes() == want[4].tobytes(), t
-        assert type(target) is int and target == want[5], t
-        assert blocks == want[6], t
-        assert all(type(i) is int for blk in blocks for i in blk), t
+        for e, (probs, gauss) in enumerate((want[0], want[3])):
+            assert both.weights[e, t].tobytes() == probs.tobytes(), t
+            assert both.ranks[e, t].tolist() == [g.shape[-1] for g in gauss], t
+            rows = both.gauss[e, t]
+            assert [row[: g.size].tobytes() for row, g in zip(rows, gauss)] == [
+                g.tobytes() for g in gauss
+            ], t
+            assert [s.tobytes() for s in states[e, t]] == [_ginibre(g).tobytes() for g in gauss], t
+        classical = [bases[t].tobytes(), cl_weights[t].tobytes(), diag[t].tobytes()]
+        assert classical == [a.tobytes() for a in want[1]], t
+        assert bases[n + t].tobytes() == want[2].tobytes(), t
+        assert lam[t].tobytes() == want[4].tobytes(), t
+        assert target[t] == want[5], t
+        assert blocks[t] == want[6], t
+        assert all(type(i) is int for blk in blocks[t] for i in blk), t
+
+
+@pytest.mark.parametrize("dim", [2, 5, 9])
+@pytest.mark.parametrize("allow_zero_prob", [False, True])
+def test_random_ensemble_draws_the_reference_stream(dim, allow_zero_prob):
+    zeroed = 0
+    for seed in range(40):
+        members = 2 + seed % 5
+        got = random_ensemble(dim, members, np.random.default_rng(seed), allow_zero_prob)
+        raw, gauss = draw_ensemble(np.random.default_rng(seed), dim, members, allow_zero_prob)
+        zeroed += int((raw == 0.0).any())
+        assert got.probabilities.tobytes() == (raw / raw.sum()).tobytes(), seed
+        want = [ginibre_states(g) for g in gauss]
+        assert [s.tobytes() for s in got.state_stack] == [s.tobytes() for s in want], seed
+    assert (zeroed > 0) == allow_zero_prob
+
+
+TRACE = NormSpec.trace()
+RNG = np.random.default_rng
+BAD_CALLS = {
+    "single-trial-dim-1": ("dim", lambda: run_single_trial(1, 2, TRACE, 0, 0)),
+    "single-trial-members-1": ("members", lambda: run_single_trial(2, 1, TRACE, 0, 0)),
+    "single-trial-seed-minus-1": ("seed", lambda: run_single_trial(2, 2, TRACE, -1, 0)),
+    "single-trial-trial-minus-1": ("trial", lambda: run_single_trial(2, 2, TRACE, 0, -1)),
+    "single-trial-slack-nan": ("slack", lambda: run_single_trial(2, 2, TRACE, 0, 0, math.nan)),
+    "single-trial-slack-minus-1": ("slack", lambda: run_single_trial(2, 2, TRACE, 0, 0, -1.0)),
+    "random-ensemble-dim-0": ("dim", lambda: random_ensemble(0, 2, RNG(0))),
+    "random-ensemble-dim-1": ("dim", lambda: random_ensemble(1, 2, RNG(0))),
+    "random-ensemble-members-1": ("members", lambda: random_ensemble(2, 1, RNG(0))),
+    "check-slack-nan": ("slack", lambda: check_properties(2, 2, 1, 0, TRACE, math.nan)),
+    "check-slack-minus-1": ("slack", lambda: check_properties(2, 2, 1, 0, TRACE, -1.0)),
+    "check-slack-inf": ("slack", lambda: check_properties(2, 2, 1, 0, TRACE, math.inf)),
+}
+
+
+@pytest.mark.parametrize("match,call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_out_of_range_arguments_raise_param_out_of_range(match, call):
+    with pytest.raises(ParamOutOfRange, match=f"^{match} must be"):
+        call()
 
 
 def reference_result(name, column, slack):
