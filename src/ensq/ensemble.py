@@ -57,11 +57,13 @@ __all__ = [
 # The pair kernel works through pairs in blocks of at most this many bytes
 # of d x d commutators, so its memory does not grow with the pair count.
 BLOCK_BYTES = 1 << 24
-# A stack without factors gets them from one member eigh per member of a
-# pair, from d = 8 on; below it every such pair takes the dense route.  A
-# source that already has the factors hands them over at every d
-# (``Ensemble.factors``).
+# A stack without factors gets them in ``_pair_norms`` from one member eigh
+# per member of a pair, from d = 8 on; below it every such pair takes the
+# dense route.  A source that already has the factors hands them over at
+# every d (``Ensemble.factors``).
 LOW_RANK_MIN_DIM = 8
+# is_classical's default bound on each live pair's entrywise commutator norm.
+CLASSICAL_TOL = 1e-9
 # check_weights passes a row whose numpy sum is within TOL / 2 of one
 # without an exact sum.  For at most this many finite nonnegative weights,
 # in any summation order, the float sum is within 1e5 * 2**-53 (about
@@ -272,7 +274,8 @@ class Factors:
 
 def _low_rank_factors(states: np.ndarray, live: np.ndarray):
     """``Factors.from_eigh`` of one ``eigh`` of each live member, and rank 0
-    where ``live`` is False; None when d < 8."""
+    where ``live`` is False; None when d < 8.  The fallback of
+    ``_pair_norms`` for a stack without factors."""
     if states.shape[-1] < LOW_RANK_MIN_DIM:
         return None
     try:
@@ -326,63 +329,6 @@ def _rank_one_values(states: np.ndarray, i, j, factors) -> np.ndarray:
     return scale * np.sqrt(np.einsum("ni,ni->n", x, x))
 
 
-def _pair_singular_values(states: np.ndarray, i, j, factors, spec=None) -> np.ndarray:
-    """Singular values ``(n, d)``, nonincreasing, of [states[i], states[j]];
-    given a norm ``spec``, the pairs' norms ``(n,)`` instead.
-
-    ``i`` and ``j`` index the stack ``states`` ``(N, d, d)``, and
-    ``factors`` holds its members' ``Factors``, or is None when there are
-    none (every pair dense).  Each pair's route
-    depends on that pair's ranks alone:
-
-    * a pair with a rank-0 member is zero (a multiple of the identity
-      commutes with everything);
-    * a pair with a rank-1 member takes the rank-1 route
-      (``_rank_one_values``): a projection, and no eigensolve;
-    * ranks r_i, r_j >= 2 with 4 (r_i + r_j) <= d take the low-rank route;
-    * every other pair takes the dense route: the d x d commutator from
-      one product (``_commutators``), its Frobenius norm from the entries
-      and anything else from its eigenvalues (``linalg._antihermitian_norms``).
-
-    Low-rank pairs are grouped by (r_i, r_j) and never padded to another
-    pair's rank, so no pair's values depend on the pairs computed with it.
-    """
-    d = states.shape[-1]
-    out = np.zeros((len(i), d))
-    dense = np.arange(len(i))
-    if factors is not None:
-        r_i, r_j = factors.ranks[i], factors.ranks[j]
-        live = (r_i > 0) & (r_j > 0)
-        one = np.flatnonzero(live & ((r_i == 1) | (r_j == 1)))
-        out[one, :2] = _rank_one_values(states, i[one], j[one], factors)[:, None]
-        rest = live & (r_i > 1) & (r_j > 1)
-        small = 4 * (r_i + r_j) <= d
-        low = np.flatnonzero(rest & small)
-        for r_a, r_b in sorted(set(zip(r_i[low].tolist(), r_j[low].tolist()))):
-            sel = low[(r_i[low] == r_a) & (r_j[low] == r_b)]
-            out[sel, : r_a + r_b] = _low_rank_singular_values(factors, i[sel], j[sel], r_a, r_b)
-        dense = np.flatnonzero(rest & ~small)
-    if spec is not None:
-        out = np.zeros(len(i)) if factors is None else linalg.norm_from_singular_values(out, spec)
-    for blk, c in _commutators(states, i[dense], j[dense]):
-        out[dense[blk]] = (
-            linalg.antihermitian_singular_values(c) if spec is None
-            else linalg._antihermitian_norms(c, spec)
-        )
-    return out
-
-
-def _commutators(states: np.ndarray, i, j):
-    """The dense commutator walk of the kernel and ``is_classical_batch``:
-    ``(block, C)`` for the pairs (states[i], states[j]), in blocks of at
-    most ``BLOCK_BYTES``.  For Hermitian A and B, BA = (AB)^+, so
-    C = X - X^+ with X = A B is [A, B] from one product, and C + C^+ is
-    exactly zero."""
-    for blk in _pair_blocks(len(i), states.shape[-1]):
-        x = states[i[blk]] @ states[j[blk]]
-        yield blk, x - _adjoint(x)
-
-
 @functools.lru_cache(maxsize=64)
 def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.triu_indices(m, 1)``, cached: it costs more than a small kernel call."""
@@ -401,30 +347,50 @@ def _live_pairs(probs: np.ndarray):
     return b, iu[k], ju[k]
 
 
-def _pair_blocks(count: int, d: int):
-    """Slices of at most ``BLOCK_BYTES`` of d x d complex commutators."""
-    step = max(1, BLOCK_BYTES // (16 * d * d))
-    return [slice(s, s + step) for s in range(0, count, step)]
-
-
 def _norms_of(members, first, second, spec: NormSpec, factors=None) -> np.ndarray:
-    """The one pair walk: ||[members[first], members[second]]|| for each pair.
+    """The one pair walk: ||[members[first], members[second]]|| for each pair
+    of the stack ``members`` ``(N, d, d)``, in blocks of at most
+    ``BLOCK_BYTES`` of d x d commutators.  ``factors`` holds the members'
+    ``Factors``, or is None (every pair dense).  A pair's route depends on
+    its ranks alone:
 
-    ``members`` is a stack ``(N, d, d)`` and ``first``, ``second`` index it.
-    ``factors`` are the members' ``Factors``; when None, they come from one
-    ``eigh`` per member of a pair, at d >= 8.  A Ky Fan order above d raises ``InvalidNormSpec``, pairs or
-    not.  A pair's norm depends on its two matrices, in their order, alone:
-    the same bits in whatever stack, and at whatever position, it arrives.
+    * with a rank-0 member it is zero (a multiple of I commutes with all);
+    * with a rank-1 member it takes the rank-1 route
+      (``_rank_one_values``): a projection, and no eigensolve;
+    * ranks r_i, r_j >= 2 with 4 (r_i + r_j) <= d take the low-rank route,
+      grouped by (r_i, r_j) and never padded to another pair's rank;
+    * every other pair is dense.  For Hermitian A and B, BA = (AB)^+, so
+      C = X - X^+ with X = A B is [A, B] from one product, and C + C^+ is
+      exactly zero.  Its Frobenius norm is read from the entries, any
+      other norm from its eigenvalues (``linalg._antihermitian_norms``).
+
+    So a pair's norm depends on its two matrices, in their order, alone.
+    A Ky Fan order above d raises ``InvalidNormSpec``, pairs or not.
     """
     d = members.shape[-1]
     spec.check_dim(d)
-    if factors is None and len(first):
-        needed = np.zeros(len(members), dtype=bool)
-        needed[first] = needed[second] = True
-        factors = _low_rank_factors(members, needed)
     norms = np.empty(len(first))
-    for blk in _pair_blocks(len(first), d):
-        norms[blk] = _pair_singular_values(members, first[blk], second[blk], factors, spec)
+    step = max(1, BLOCK_BYTES // (16 * d * d))
+    for blk in (slice(s, s + step) for s in range(0, len(first), step)):
+        i, j, out = first[blk], second[blk], norms[blk]
+        dense = np.arange(len(i))
+        if factors is not None:
+            sv = np.zeros((len(i), d))
+            r_i, r_j = factors.ranks[i], factors.ranks[j]
+            live = (r_i > 0) & (r_j > 0)
+            one = np.flatnonzero(live & ((r_i == 1) | (r_j == 1)))
+            sv[one, :2] = _rank_one_values(members, i[one], j[one], factors)[:, None]
+            rest = live & (r_i > 1) & (r_j > 1)
+            small = 4 * (r_i + r_j) <= d
+            low = np.flatnonzero(rest & small)
+            for r_a, r_b in sorted(set(zip(r_i[low].tolist(), r_j[low].tolist()))):
+                sel = low[(r_i[low] == r_a) & (r_j[low] == r_b)]
+                sv[sel, : r_a + r_b] = _low_rank_singular_values(factors, i[sel], j[sel], r_a, r_b)
+            out[:] = linalg.norm_from_singular_values(sv, spec)
+            dense = np.flatnonzero(rest & ~small)
+        if dense.size:
+            x = members[i[dense]] @ members[j[dense]]
+            out[dense] = linalg._antihermitian_norms(x - _adjoint(x), spec)
     return norms
 
 
@@ -434,15 +400,20 @@ def _pair_norms(pairs, states, spec: NormSpec, factors=None) -> np.ndarray:
     ``pairs`` ``(b, i, j)`` (``_live_pairs`` of the probabilities), and NaN
     elsewhere.
 
-    ``factors`` are the batch-flattened members' ``Factors`` (see ``_norms_of``).
+    ``factors`` are the batch-flattened members' ``Factors``.  When None,
+    they come from one ``eigh`` per member of a pair from d = 8 on
+    (``_low_rank_factors``); below it, every pair is dense.
     """
     states = np.asarray(states)
     n, m = states.shape[:2]
     b, i, j = pairs
+    members, first, second = states.reshape(-1, *states.shape[-2:]), b * m + i, b * m + j
+    if factors is None and len(b):
+        needed = np.zeros(len(members), dtype=bool)
+        needed[first] = needed[second] = True
+        factors = _low_rank_factors(members, needed)
     table = np.full((n, m, m), np.nan)
-    table[b, i, j] = _norms_of(
-        states.reshape(-1, *states.shape[-2:]), b * m + i, b * m + j, spec, factors
-    )
+    table[b, i, j] = _norms_of(members, first, second, spec, factors)
     return table
 
 
@@ -463,8 +434,8 @@ def quantumness_batch(probs, states, spec: NormSpec, factors=None) -> np.ndarray
 
     ``factors`` are the ``Factors`` of the batch-flattened members, one row
     per member (a loaded ensemble's ``Ensemble.factors``, at every d).
-    When None, the kernel eigendecomposes the members of its pairs from
-    d = 8 (``LOW_RANK_MIN_DIM``) on; below it, every pair is dense.  A Ky
+    When None, ``_pair_norms`` eigendecomposes the members of its pairs
+    from d = 8 (``LOW_RANK_MIN_DIM``) on; below it, every pair is dense.  A Ky
     Fan order above d raises ``InvalidNormSpec``, live pairs or not.
     """
     probs = np.asarray(probs, dtype=float)
@@ -472,19 +443,21 @@ def quantumness_batch(probs, states, spec: NormSpec, factors=None) -> np.ndarray
     return _weighted_sums(probs, _pair_norms(pairs, states, spec, factors), pairs)
 
 
-def is_classical_batch(probs, states, tol: float = 1e-9) -> np.ndarray:
+def is_classical_batch(probs, states, tol: float = CLASSICAL_TOL) -> np.ndarray:
     """Per ensemble of a stack: do all positive-probability members commute?
 
     See :func:`is_classical`; returns a boolean array of length B.  Every
-    live pair's dense commutator (``_commutators``) is measured entrywise.
+    live pair takes ``_norms_of``'s dense route, with no factors, and its
+    entrywise Frobenius norm is compared with ``tol``.
     """
+    linalg._check_tol(tol, "tol")
     probs = np.asarray(probs, dtype=float)
     states = np.asarray(states)
     owner, i, j = _live_pairs(probs)
     m, d = probs.shape[1], states.shape[-1]
+    norms = _norms_of(states.reshape(-1, d, d), owner * m + i, owner * m + j, NormSpec.frobenius())
     classical = np.ones(len(probs), dtype=bool)
-    for blk, c in _commutators(states.reshape(-1, d, d), owner * m + i, owner * m + j):
-        classical[owner[blk][linalg._antihermitian_norms(c, NormSpec.frobenius()) > tol]] = False
+    classical[owner[norms > tol]] = False
     return classical
 
 
@@ -605,12 +578,13 @@ def quantumness(ensemble: Ensemble, spec: NormSpec) -> float:
     )
 
 
-def is_classical(ensemble: Ensemble, tol: float = 1e-9) -> bool:
+def is_classical(ensemble: Ensemble, tol: float = CLASSICAL_TOL) -> bool:
     """True when all members occurring with positive probability commute.
 
-    Commutators are measured entrywise (Frobenius norm), independently of
-    the norm used for the quantumness, so this is the reference check for
-    "quantumness vanishes iff classical".
+    Every live pair's dense commutator is measured entrywise (Frobenius
+    norm) against ``tol``, which must be finite and >= 0, with no factors
+    and independently of the norm used for the quantumness, so this is the
+    reference check for "quantumness vanishes iff classical".
     """
     return bool(
         is_classical_batch(ensemble.probabilities[None], ensemble.state_stack[None], tol)[0]
@@ -666,8 +640,8 @@ def decompose_member(ensemble: Ensemble, index: int, parts) -> list[Ensemble]:
     returned ensemble keeps every other member unchanged and replaces the
     chosen state by one part (same member probability).
     """
-    if not 0 <= index < len(ensemble):
-        raise IndexError(f"member index {index} outside 0..{len(ensemble) - 1}")
+    if not (linalg._is_integer(index) and 0 <= index < len(ensemble)):
+        raise IndexError(f"member index {index!r} outside 0..{len(ensemble) - 1}")
     _, stack = _check_parts(parts, ensemble.state_stack[index], index)
     out = []
     for part in stack:
@@ -703,7 +677,7 @@ class Partition:
     blocks: tuple
 
     def __post_init__(self) -> None:
-        blocks = tuple(tuple(int(i) for i in blk) for blk in self.blocks)
+        blocks = tuple(map(tuple, self.blocks))
         if not blocks:
             raise InvalidPartition("partition needs at least one block")
         seen = set()
@@ -711,12 +685,14 @@ class Partition:
             if not blk:
                 raise InvalidPartition("empty block")
             for i in blk:
+                if not linalg._is_integer(i):
+                    raise InvalidPartition(f"index {i!r} is not an integer")
                 if i < 0:
                     raise InvalidPartition(f"negative index {i}")
                 if i in seen:
                     raise InvalidPartition(f"index {i} appears in two blocks")
                 seen.add(i)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(tuple(map(int, blk)) for blk in blocks))
 
     def validate_for(self, n: int) -> None:
         covered = {i for blk in self.blocks for i in blk}

@@ -42,7 +42,7 @@ from .ensemble import (
     union_batch,
 )
 from .errors import ParamOutOfRange
-from .linalg import NormSpec
+from .linalg import NormSpec, _check_tol
 from .states import (
     _adjoint,
     _eigenprojectors,
@@ -77,9 +77,12 @@ PROPERTY_NAMES = (
 # is recorded as this sentinel so it is impossible to miss in a report.
 _BOOL_FAIL = 1.0
 
-# Trials evaluated per batch; bounds the memory of a run of any length.
-# A trial holds m * d eigenprojectors of d x d, 16 m d^3 bytes, so a batch
-# takes fewer trials where they would pass ``ensemble.BLOCK_BYTES``.
+# Trials evaluated per batch; bounds the memory of a run of any length.  A
+# batch takes fewer where a trial's largest allocation would pass
+# ``ensemble.BLOCK_BYTES``: its m d eigenprojectors, 16 m d^3 bytes, or the
+# pair work of its union and fine-grained ensemble (pair tables, indices
+# and fsum terms), about 128 bytes an entry of the (m d) x (m d) table
+# (tracemalloc, d = 2..8).  Its draws, 32 d^2 (m + 1) + 8 m (d + 5), take less.
 _CHUNK = 250
 
 
@@ -177,8 +180,7 @@ def _check_params(dim: int, members: int, slack: float = DEFAULT_SLACK, **counts
     for name, value in {"dim": dim, "members": members, **counts}.items():
         if value < lowest[name]:
             raise ParamOutOfRange(f"{name} must be >= {lowest[name]}, got {value}")
-    if not 0.0 <= slack < math.inf:
-        raise ParamOutOfRange(f"slack must be finite and >= 0, got {slack!r}")
+    _check_tol(slack, "slack")
 
 
 def _classicality_fails(m: float, classical: bool, slack: float) -> bool:
@@ -439,7 +441,8 @@ def check_properties(
     )
     values = np.empty(trials)
     violations = np.empty((trials, len(PROPERTY_NAMES)))
-    step = max(1, min(_CHUNK, BLOCK_BYTES // (16 * members * dim**3)))
+    per_trial = 16 * members * dim**2 * max(dim, 8 * members)
+    step = max(1, min(_CHUNK, BLOCK_BYTES // per_trial))
     for start in range(0, trials, step):
         chunk = range(start, min(start + step, trials))
         values[chunk.start : chunk.stop], violations[chunk.start : chunk.stop] = _run_trials(

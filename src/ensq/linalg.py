@@ -84,8 +84,21 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_tol(tol, name: str) -> None:
+    """Raise ``ParamOutOfRange`` unless the tolerance ``tol`` is finite and >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise ParamOutOfRange(f"{name} must be finite and >= 0, got {tol!r}")
+
+
 def hermitian_eigenvalues(a, tol: float = TOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted nonincreasing."""
+    """Eigenvalues of a Hermitian matrix, sorted nonincreasing; ``tol``,
+    finite and >= 0, bounds its Hermiticity defect."""
+    _check_tol(tol, "tol")
     m = _finite_matrix(a)
     defect = float(np.abs(m - m.conj().T).max())
     if defect > tol:
@@ -169,7 +182,7 @@ class NormSpec:
         elif self.kind == "kyfan":
             if self.p is not None:
                 raise InvalidNormSpec("kyfan norm takes no p")
-            if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
+            if not _is_integer(self.k):
                 raise InvalidNormSpec(f"kyfan order must be an integer, got {self.k!r}")
             if self.k < 1:
                 raise InvalidNormSpec(f"kyfan order must satisfy k >= 1, got {self.k}")

@@ -11,7 +11,7 @@ from ensq.ensemble import (
     Ensemble,
     Partition,
     _low_rank_factors,
-    _pair_singular_values,
+    _norms_of,
     check_weights,
     coarse_grain,
     coarse_grain_batch,
@@ -199,6 +199,21 @@ def test_quantumness_of_classical_ensemble_is_exactly_zero():
     assert is_classical(e)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_classicality_tolerance_must_be_finite_and_nonnegative(tol):
+    # {|0>, |+>} has M = 1 under the trace norm, and a NaN tolerance would
+    # call it classical; -1 would call a commuting ensemble non-classical.
+    quantum = Ensemble(((0.5, projector(PureState([1.0, 0.0]))), (0.5, projector(plus_state()))))
+    assert quantumness(quantum, NormSpec.trace()) == pytest.approx(1.0, rel=1e-15)
+    commuting = Ensemble(((0.5, np.diag([1.0, 0.0])), (0.5, np.diag([0.0, 1.0]))))
+    for e in (quantum, commuting):
+        with pytest.raises(ParamOutOfRange, match="^tol must be finite and >= 0"):
+            is_classical(e, tol=tol)
+        with pytest.raises(ParamOutOfRange, match="^tol must be finite and >= 0"):
+            is_classical_batch(e.probabilities[None], e.state_stack[None], tol)
+    assert not is_classical(quantum) and is_classical(commuting, tol=0.0)
+
+
 def test_quantumness_single_member_is_zero():
     e = Ensemble(((1.0, np.eye(3) / 3.0),))
     assert quantumness(e, NormSpec.trace()) == 0.0
@@ -223,7 +238,8 @@ def test_quantumness_known_two_pure_state_value():
 
 def test_pair_commutator_singular_values_match_analytic_form():
     # d < 8 takes the dense route; at d = 16 and 32, the members' eigh gives
-    # them rank 1, and the pairs take the rank-1 route.
+    # them rank 1, and the pairs take the rank-1 route.  The singular values
+    # are read through the Ky Fan norms k = 1..d, their partial sums.
     rng = np.random.default_rng(41)
     for dim in (2, 3, 4, 16, 32):
         for _ in range(20):
@@ -233,9 +249,13 @@ def test_pair_commutator_singular_values_match_analytic_form():
             stack = np.stack([projector(psi).matrix, projector(phi).matrix])
             factors = _low_rank_factors(stack, np.ones(2, dtype=bool))
             assert (factors is None) == (dim < 8)
-            got = _pair_singular_values(stack, np.array([0]), np.array([1]), factors)[0]
-            want = analytic_pair_singular_values(c, dim)
-            assert np.abs(got - want).max() <= 1e-10
+            got = [
+                _norms_of(stack, np.array([0]), np.array([1]), NormSpec.kyfan(k), factors)[0]
+                for k in range(1, dim + 1)
+            ]
+            s = analytic_pair_singular_values(c, dim)
+            want = [math.fsum(s[:k]) for k in range(1, dim + 1)]
+            assert np.abs(np.array(got) - want).max() <= 1e-10
 
 
 def test_quantumness_matches_naive_oracle():
@@ -355,6 +375,11 @@ def test_decompose_member_convexity_and_mismatch():
         assert quantumness(e, spec) <= bound + 1e-9
     with pytest.raises(IndexError):
         decompose_member(e, 7, parts)
+    # Only Python and numpy integers index a member, and not bools.
+    for index in (True, 1.5, 1.0, np.float64(1.0)):
+        with pytest.raises(IndexError, match="^member index"):
+            decompose_member(e, index, parts)
+    assert len(decompose_member(e, np.int64(idx), parts)) == 3
     bad_parts = [(0.5, np.eye(3) / 3.0), (0.5, np.diag([1.0, 0.0, 0.0]))]
     with pytest.raises(DecompositionMismatch):
         decompose_member(e, 0, bad_parts)
@@ -480,6 +505,12 @@ def test_partition_validation():
     e = random_ensemble(2, 3, rng)
     with pytest.raises(InvalidPartition):
         coarse_grain(e, [(0, 1)])
+    # A float or a bool is no block index: int() would merge members 0 and 1.
+    for blocks in ([(0.7, 1), (2,)], [(True, 0), (2,)], [(0, 1.0), (2,)]):
+        with pytest.raises(InvalidPartition, match="is not an integer"):
+            coarse_grain(e, blocks)
+    merged = coarse_grain(e, [(np.int64(0), 1), (np.int32(2),)])
+    assert merged.probabilities.tolist() == coarse_grain(e, [(0, 1), (2,)]).probabilities.tolist()
 
 
 def test_zero_probability_block_rejected():

@@ -5,6 +5,7 @@ the variants) change no bit, and every trial draws the reference stream of
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,23 @@ def test_large_d_runs_in_shorter_batches_that_replay_bit_for_bit(monkeypatch):
     assert len(drawn) == 2 and max(drawn) <= BLOCK_BYTES
     monkeypatch.undo()
     _assert_replays(report, 32, 4, spec, 2, [0, 7, 8, 12])
+
+
+def test_many_members_keep_a_batch_within_its_byte_budget():
+    # At d = 2 with 200 members a trial's pair work (its union and its
+    # fine-grained ensemble of 400 members each) takes more than
+    # BLOCK_BYTES, so every trial runs in a batch of its own and three
+    # trials peak no higher than one, within the budget.  Sized from the
+    # eigenprojectors alone, all three shared one batch.
+    peaks = []
+    for trials in (3, 1):
+        tracemalloc.start()
+        try:
+            check_properties(2, 200, trials, 1, NormSpec.trace())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + BLOCK_BYTES
 
 
 def test_render_fail_lines_replay_their_trials():

@@ -23,9 +23,8 @@ from ensq import ensemble, linalg
 from ensq.ensemble import (
     Ensemble,
     Factors,
-    _commutators,
     _low_rank_factors,
-    _pair_singular_values,
+    _norms_of,
     is_classical,
     is_classical_batch,
     quantumness,
@@ -33,7 +32,7 @@ from ensq.ensemble import (
 )
 from ensq.errors import InvalidNormSpec
 from ensq.linalg import NormSpec
-from ensq.states import validate_density_stack
+from ensq.states import random_unitary, validate_density_stack
 
 from _oracles import analytic_pair_singular_values, naive_quantumness
 
@@ -64,6 +63,18 @@ def low_rank_state(dim, rank, rng, eps=1.0):
 def random_probs(members, rng):
     p = rng.random(members) + 0.5
     return p / p.sum()
+
+
+def kyfan_norms(stack, i, j, factors):
+    """Ky Fan k = 1..d norms ``(n, d)`` of the pairs (stack[i], stack[j]) from
+    ``_norms_of``: the partial sums of their singular values."""
+    orders = range(1, stack.shape[-1] + 1)
+    return np.stack([_norms_of(stack, i, j, NormSpec.kyfan(k), factors) for k in orders], axis=-1)
+
+
+def partial_sums(s):
+    """Exact partial sums ``math.fsum(s[:k])``, k = 1..d, of singular values ``(d,)``."""
+    return np.array([math.fsum(s[:k]) for k in range(1, len(s) + 1)])
 
 
 def check_against_oracle(members):
@@ -165,6 +176,25 @@ def test_commuting_low_rank_states_are_classical():
     assert is_classical(e)
 
 
+def test_is_classical_reads_the_dense_commutator_where_quantumness_reads_factors():
+    # I/d rotated by a Haar unitary is rank 0 to the factors, so its pair
+    # with a pure state is exactly zero in M.  is_classical walks the same
+    # pairs with no factors: it measures the rotated matrix's dense
+    # commutator, whose round-off is nonzero for this seed, against tol.
+    d = 16
+    rng = np.random.default_rng(0)
+    u, v = random_unitary(d, rng), random_unitary(d, rng)[:, 0]
+    e = Ensemble(((0.5, u @ (np.eye(d) / d) @ u.conj().T), (0.5, np.outer(v, v.conj()))))
+    for spec in NORMS:
+        assert quantumness(e, spec) == 0.0
+    x = e.state_stack[0] @ e.state_stack[1]
+    entries = _norms_of(e.state_stack, np.array([0]), np.array([1]), NormSpec.frobenius())[0]
+    assert 0.0 < entries == linalg.norm(x - x.conj().T, NormSpec.frobenius()) < 1e-15
+    assert is_classical(e)
+    assert not is_classical(e, tol=0.0)
+    assert is_classical(e, tol=entries) and not is_classical(e, tol=entries / 2)
+
+
 def test_kyfan_order_beyond_rank_and_beyond_dimension():
     rng = np.random.default_rng(85)
     d = 16
@@ -193,17 +223,20 @@ def test_kernel_pair_norm_equals_linalg_norm_bit_for_bit(dim, spec):
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 9, 16])
 def test_dense_commutators_are_exactly_antihermitian(dim):
-    # C = X - X^+ from one product X = A B: C + C^+ is zero bit for bit, and
-    # C is [A, B] to round-off.
+    # C = X - X^+ from one product X = A B, as the dense route builds it:
+    # C + C^+ is zero bit for bit, C is [A, B] to round-off, and with no
+    # factors the kernel's norms are linalg.norm of C, bit for bit.
     rng = np.random.default_rng(88)
     ranks = rng.integers(1, dim + 1, size=12)
     stack = validate_density_stack([low_rank_state(dim, int(r), rng) for r in ranks])
     i, j = np.triu_indices(len(stack), 1)
-    ((_, c),) = _commutators(stack, i, j)
-    assert c.shape == (len(i), dim, dim)
+    x = stack[i] @ stack[j]
+    c = x - np.swapaxes(x.conj(), -1, -2)
     assert not (c + np.swapaxes(c.conj(), -1, -2)).any()
     a, b = stack[i], stack[j]
     assert np.abs(c - (a @ b - b @ a)).max() <= 4 * dim * np.finfo(float).eps
+    for spec in [*NORMS, NormSpec.schatten(2.5), NormSpec.kyfan(dim)]:
+        assert _norms_of(stack, i, j, spec).tolist() == [linalg.norm(ck, spec) for ck in c]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -213,11 +246,12 @@ def test_entrywise_frobenius_agrees_with_the_singular_values(dim, seed):
     # eigensolve, against sqrt(sum s^2) of the eigenvalue route.
     rng = np.random.default_rng(seed)
     stack = validate_density_stack([low_rank_state(dim, dim, rng) for _ in range(2)])
-    ((_, c),) = _commutators(stack, np.array([0]), np.array([1]))
-    entries = linalg._antihermitian_norms(c, NormSpec.frobenius())[0]
-    s = linalg.antihermitian_singular_values(c)[0]
+    x = stack[0] @ stack[1]
+    c = x - x.conj().T
+    entries = _norms_of(stack, np.array([0]), np.array([1]), NormSpec.frobenius())[0]
+    s = linalg.antihermitian_singular_values(c)
     assert entries == pytest.approx(math.sqrt(math.fsum(s * s)), rel=16 * np.finfo(float).eps)
-    assert linalg.norm(c[0], NormSpec.frobenius()) == entries
+    assert linalg.norm(c, NormSpec.frobenius()) == entries
 
 
 def test_pair_blocks_leave_values_unchanged(monkeypatch):
@@ -261,8 +295,8 @@ def test_low_rank_route_agrees_with_dense_route(dim, data, eps, seed):
     factors = _low_rank_factors(stack, np.ones(2, dtype=bool))
     assert factors.ranks.tolist() == [r_a, r_b]
     i, j = np.array([0]), np.array([1])
-    low = _pair_singular_values(stack, i, j, factors)[0]
-    dense = _pair_singular_values(stack, i, j, None)[0]
+    low = kyfan_norms(stack, i, j, factors)[0]
+    dense = kyfan_norms(stack, i, j, None)[0]
     assert np.abs(low - dense).max() <= 1e-12 * dense[0]
 
 
@@ -315,8 +349,8 @@ def test_rank_one_pairs_match_the_closed_form_at_any_overlap(dim, c, eps, rotate
     stack, vectors = overlap_pair(dim, c, eps, rng, rotate)
     factors = Factors.from_vectors(vectors)
     factors = dataclasses.replace(factors, shifted=factors.shifted * np.array(eps)[:, None])
-    got = _pair_singular_values(stack, np.array([0]), np.array([1]), factors)[0]
-    want = eps[0] * eps[1] * analytic_pair_singular_values(c, dim)
+    got = kyfan_norms(stack, np.array([0]), np.array([1]), factors)[0]
+    want = eps[0] * eps[1] * partial_sums(analytic_pair_singular_values(c, dim))
     # A rotated input carries round-off of its own (about 1e-16 of
     # orthogonality), which moves a near-parallel pair's values relatively.
     rel = 1e-8 if rotate else 1e-12
@@ -353,8 +387,8 @@ def test_rank_one_route_agrees_with_dense_route(dim, rank, eps, rank_one_first, 
     stack = np.stack([b, a] if rank_one_first else [a, b])
     assert 1 in factors.ranks and 0 not in factors.ranks
     i, j = np.array([0]), np.array([1])
-    got = _pair_singular_values(stack, i, j, factors)[0]
-    dense = _pair_singular_values(stack, i, j, None)[0]
+    got = kyfan_norms(stack, i, j, factors)[0]
+    dense = kyfan_norms(stack, i, j, None)[0]
     assert np.abs(got - dense).max() <= 1e-12 * dense[0] + 1e-15
 
 
@@ -369,7 +403,8 @@ def test_kyfan_orders_up_to_the_dimension_on_the_rank_one_route(dim):
     stack = np.einsum("ni,nj->nij", v, v.conj())
     factors = Factors.from_vectors(v)
     i, j = np.array([0]), np.array([1])
-    assert _pair_singular_values(stack, i, j, factors).shape == (1, dim)
+    want = partial_sums(analytic_pair_singular_values(0.5, dim))
+    assert np.abs(kyfan_norms(stack, i, j, factors)[0] - want).max() <= 1e-12 * want[0]
     probs = np.array([[0.25, 0.75]])
     trace = quantumness_batch(probs, stack[None], NormSpec.trace(), factors)[0]
     want = naive_quantumness(list(zip(probs[0], stack)), NormSpec.trace())
@@ -402,11 +437,11 @@ def test_rank_one_route_takes_no_eigensolve_at_any_overlap(dim, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     i, j = np.array([0, 2, 0, 4]), np.array([1, 3, 4, 2])
-    got = _pair_singular_values(stack, i, j, factors)
+    got = kyfan_norms(stack, i, j, factors)
     assert solved == []
     monkeypatch.undo()
     for row, c, scale in zip(got, (1.0 - 1e-9, 0.5), (1.0, 0.5)):
-        want = scale * analytic_pair_singular_values(c, dim)
+        want = scale * partial_sums(analytic_pair_singular_values(c, dim))
         assert np.abs(row - want).max() <= 1e-12 * want[0]
-    dense = _pair_singular_values(stack, i[2:], j[2:], None)
+    dense = kyfan_norms(stack, i[2:], j[2:], None)
     assert np.abs(got[2:] - dense).max() <= 1e-12 * dense[:, 0].max()

@@ -73,6 +73,13 @@ def test_hermitian_eig_rejects_non_hermitian():
     linalg.hermitian_eigenvalues(np.array([[0.0, 1e-12], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_hermitian_eig_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # A NaN tolerance would let any defect pass: here a nilpotent matrix.
+    with pytest.raises(ParamOutOfRange, match="^tol must be finite and >= 0"):
+        linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=tol)
+
+
 MATRIX_FUNCTIONS = {
     "hermitian_eigenvalues": linalg.hermitian_eigenvalues,
     "singular_values": linalg.singular_values,
